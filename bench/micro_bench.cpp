@@ -322,7 +322,7 @@ service::ServiceConfig service_bench_config() {
 }
 
 /// One blocking acquire per iteration through Server/Client over the
-/// in-process fabric: the v1-style round trip the sync wrappers pay.
+/// in-process fabric: the blocking round trip the sync wrappers pay.
 void BM_ServiceRoundTripSync(benchmark::State& state) {
   service::AccountTable table(service_bench_config());
   runtime::InProcNetwork net(2);

@@ -157,9 +157,10 @@ class ClusterClient {
     std::vector<std::pair<NodeId, std::vector<obs::Metric>>> per_node;
   };
 
-  /// Fans kStats over every member of the current map; dead or v1 nodes
-  /// are skipped (a cluster sweep must not fail because one node is
-  /// mid-crash). Throws util::IoError only if NO node answered.
+  /// Fans kStats over every member of the current map; dead nodes and
+  /// nodes that answer with a typed error are skipped (a cluster sweep
+  /// must not fail because one node is mid-crash). Throws util::IoError
+  /// only if NO node answered.
   ClusterStats cluster_stats();
 
   /// Fans kTraces over every member and stitches the spans into one

@@ -43,7 +43,6 @@ struct Server::Pending {
   Server* server = nullptr;
   NodeId from = 0;
   std::uint64_t id = 0;
-  std::uint8_t version = protocol::kProtocolVersion;
   std::chrono::steady_clock::time_point t0{};
   TraceInfo trace{};
   NamespaceId ns = kDefaultNamespace;  ///< for the cork span's identity
@@ -224,10 +223,9 @@ void Server::on_frame(NodeId from, std::vector<std::byte> payload) {
     }
   }
 
-  std::uint8_t version = proto::kProtocolVersion;
   proto::Request request;
   try {
-    request = proto::decode_request(payload, version);
+    request = proto::decode_request(payload);
   } catch (const util::IoError&) {
     // The header decoded but the body did not: the sender gets a typed
     // error it can correlate.
@@ -270,7 +268,7 @@ void Server::on_frame(NodeId from, std::vector<std::byte> payload) {
   // cluster and stats requests stay on this thread (they quiesce the
   // engine where they sweep the table).
   if (engine_ != nullptr && is_data_op) {
-    dispatch_engine(from, std::move(request), version, t0, trace);
+    dispatch_engine(from, std::move(request), t0, trace);
     return;
   }
 
@@ -420,10 +418,6 @@ void Server::on_frame(NodeId from, std::vector<std::byte> payload) {
       },
       request);
 
-  // Success replies speak the request's version so v1 clients keep
-  // decoding; typed errors are v2-only constructs and always encode as v2
-  // (a genuine v1 sender ignores the unknown frame and times out, exactly
-  // the pre-v2 behaviour).
   const bool is_error =
       std::holds_alternative<proto::ErrorResponse>(response);
   if (is_error) {
@@ -431,9 +425,7 @@ void Server::on_frame(NodeId from, std::vector<std::byte> payload) {
   } else {
     served_.fetch_add(1, std::memory_order_relaxed);
   }
-  transport_->send(from, proto::encode(response, is_error
-                                                     ? proto::kProtocolVersion
-                                                     : version));
+  transport_->send(from, proto::encode(response));
   if (tracer_ != nullptr && trace.traced && is_data_op) {
     const std::uint64_t key = std::visit(
         [](const auto& r) -> std::uint64_t {
@@ -457,7 +449,6 @@ void Server::on_frame(NodeId from, std::vector<std::byte> payload) {
 }
 
 void Server::dispatch_engine(NodeId from, protocol::Request&& request,
-                             std::uint8_t version,
                              std::chrono::steady_clock::time_point t0,
                              const TraceInfo& trace) {
   namespace proto = protocol;
@@ -465,7 +456,7 @@ void Server::dispatch_engine(NodeId from, protocol::Request&& request,
 
   if (auto* batch = std::get_if<proto::BatchAcquireRequest>(&request)) {
     auto pending = std::make_unique<Pending>();
-    *pending = Pending{this, from, id, version, t0, trace, batch->ns, 0};
+    *pending = Pending{this, from, id, t0, trace, batch->ns, 0};
     if (!engine_->submit_batch(batch->ns, std::move(batch->ops),
                                &Server::complete_engine_batch, pending.get(),
                                trace.traced ? trace.trace_id : 0,
@@ -500,7 +491,7 @@ void Server::dispatch_engine(NodeId from, protocol::Request&& request,
              },
              request);
   auto pending = std::make_unique<Pending>();
-  *pending = Pending{this, from, id, version, t0, trace, op.ns, op.key};
+  *pending = Pending{this, from, id, t0, trace, op.ns, op.key};
   if (tracer_ != nullptr && trace.traced) {
     // The decode span closes here: frame arrival -> op submitted. The
     // submit timestamp seeds the worker's queue-wait span.
@@ -572,9 +563,7 @@ void Server::finish_engine_reply(NodeId from,
   const std::int64_t t_cork = tracer_ != nullptr && p.trace.traced
                                   ? obs::Tracer::now_us()
                                   : 0;
-  transport_->send(from, proto::encode(response, is_error
-                                                     ? proto::kProtocolVersion
-                                                     : p.version));
+  transport_->send(from, proto::encode(response));
   if (tracer_ != nullptr && p.trace.traced) {
     // Cork span: completion -> reply handed to the transport (on the epoll
     // mesh this is the append into the loop's cork buffer; the flush rides

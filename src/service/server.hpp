@@ -2,20 +2,19 @@
 //
 // The server installs itself as the transport's receive handler; each
 // incoming frame is decoded, executed against the table and answered to
-// the sender — in the protocol version the request used, so v1 clients
-// interoperate with the v2 server unchanged. Handlers run on transport-
-// owned threads (one per TCP connection, the dispatcher for the in-process
-// fabric) — the table's shard locks make concurrent execution safe, so the
-// same server runs in-process for tests and as the real tokend daemon over
-// runtime::Tcp.
+// the sender. Handlers run on transport-owned threads (one per TCP
+// connection, the dispatcher for the in-process fabric) — the table's
+// shard locks make concurrent execution safe, so the same server runs
+// in-process for tests and as the real tokend daemon over runtime::Tcp.
 //
-// Failure taxonomy (protocol v2):
+// Failure taxonomy:
 //   - requests_served: executed and answered with a success response;
 //   - requests_errored: answered with a typed ErrorResponse — the header
 //     decoded but the body did not (kMalformedBody), the namespace does
 //     not exist (kUnknownNamespace), or a ConfigureNamespace carried a
 //     rejected policy (kInvalidConfig);
-//   - requests_malformed: not even the header decoded; the frame is
+//   - requests_malformed: not even the header decoded (garbage, or a
+//     version byte other than protocol::kProtocolVersion); the frame is
 //     dropped unanswered (the fabric is best-effort at-most-once; the
 //     client's timeout covers this case);
 //   - requests_shed: a data op rejected by the admission bucket with
@@ -148,7 +147,6 @@ class Server {
 
   void on_frame(NodeId from, std::vector<std::byte> payload);
   void dispatch_engine(NodeId from, protocol::Request&& request,
-                       std::uint8_t version,
                        std::chrono::steady_clock::time_point t0,
                        const TraceInfo& trace);
   void finish_engine_reply(NodeId from, const protocol::Response& response,

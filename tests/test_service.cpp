@@ -13,8 +13,10 @@
 #include "runtime/tcp.hpp"
 #include "service/account_table.hpp"
 #include "service/client.hpp"
+#include "service/protocol.hpp"
 #include "service/server.hpp"
 #include "util/error.hpp"
+#include "util/serde.hpp"
 
 namespace toka::service {
 namespace {
@@ -71,25 +73,66 @@ TEST(ServiceEndToEnd, InprocBatchAcquire) {
 
 TEST(ServiceEndToEnd, MalformedFramesAreCountedAndSkipped) {
   AccountTable table(generalized_config(1, 8, 1000));
-  runtime::InProcNetwork net(2);
+  runtime::InProcNetwork net(3);
   Server server(table, net.endpoint(0));
   Client client(net.endpoint(1), 0);
+  // Endpoint 2 is a raw sender that counts every frame the server returns.
+  std::atomic<int> raw_replies{0};
+  net.endpoint(2).set_handler(
+      [&raw_replies](NodeId from, std::vector<std::byte>) {
+        if (from == 0) raw_replies.fetch_add(1);
+      });
   net.start();
 
-  std::vector<std::byte> garbage{std::byte{0xFF}, std::byte{0x01}};
-  net.endpoint(1).send(0, garbage);
   // drain() only waits for the queue to empty; the dispatcher may still be
   // inside the delivery, so poll for the counter.
-  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(5);
-  while (server.requests_malformed() == 0 &&
-         std::chrono::steady_clock::now() < deadline) {
-    std::this_thread::yield();
-  }
+  auto await_malformed = [&server](std::uint64_t n) {
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(5);
+    while (server.requests_malformed() < n &&
+           std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::yield();
+    }
+  };
+
+  std::vector<std::byte> garbage{std::byte{0xFF}, std::byte{0x01}};
+  net.endpoint(2).send(0, garbage);
+  await_malformed(1);
   EXPECT_EQ(server.requests_malformed(), 1u);
   EXPECT_EQ(server.requests_errored(), 0u);  // no header: no typed answer
   // The server keeps serving after a malformed frame.
   EXPECT_EQ(client.acquire(1, 0).granted, 0);
   EXPECT_EQ(server.requests_served(), 1u);
+
+  // A protocol v1 acquire (01 01 <u64 id> <u64 key> <i64 tokens>) for the
+  // same key, now holding tokens: v1 is not spoken, so the frame is garbage
+  // like any other unsupported version — dropped, counted, never served.
+  table.clock().advance(4000);
+  util::BinaryWriter v1;
+  v1.u8(1);
+  v1.u8(1);
+  v1.u64(55);
+  v1.u64(1);
+  v1.i64(2);
+  const std::uint64_t granted_before = table.stats().tokens_granted;
+  net.endpoint(2).send(0, v1.data());
+  await_malformed(2);
+  EXPECT_EQ(server.requests_malformed(), 2u);
+  EXPECT_EQ(server.requests_errored(), 0u);
+  EXPECT_EQ(table.stats().tokens_granted, granted_before);
+  // No reply: the fabric delivers in one global order, so once a later
+  // query from the same sender is answered, any reply to the v1 frame
+  // would already have arrived.
+  net.endpoint(2).send(0, protocol::encode(protocol::QueryRequest{56, 1}));
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (raw_replies.load() == 0 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::yield();
+  }
+  net.drain();
+  EXPECT_EQ(raw_replies.load(), 1);
+  EXPECT_EQ(server.requests_served(), 2u);
   net.stop();
 }
 

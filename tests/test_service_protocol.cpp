@@ -4,6 +4,7 @@
 
 #include <cstddef>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "util/error.hpp"
@@ -57,9 +58,8 @@ TEST(Protocol, BatchRoundTripIncludingEmpty) {
             resp);
 }
 
-NamespaceId random_ns(Rng& rng, bool v1) {
-  return v1 ? kDefaultNamespace
-            : static_cast<NamespaceId>(rng.below(1u << 16));
+NamespaceId random_ns(Rng& rng) {
+  return static_cast<NamespaceId>(rng.below(1u << 16));
 }
 
 NamespaceConfig random_namespace_config(Rng& rng) {
@@ -91,26 +91,23 @@ cluster::ClusterMap random_cluster_map(Rng& rng) {
   return m;
 }
 
-/// With v1=true, only messages protocol v1 can carry (namespace 0, no
-/// admin or cluster frames) are generated, so the same fuzz drives both
-/// versions.
-Request random_request(Rng& rng, bool v1 = false) {
-  switch (rng.below(v1 ? 4 : 13)) {
+Request random_request(Rng& rng) {
+  switch (rng.below(13)) {
     case 0:
       return AcquireRequest{rng.next_u64(), rng.next_u64(),
                             static_cast<Tokens>(rng.below(1 << 20)),
-                            random_ns(rng, v1)};
+                            random_ns(rng)};
     case 1:
       return RefundRequest{rng.next_u64(), rng.next_u64(),
                            static_cast<Tokens>(rng.below(1 << 20)),
-                           random_ns(rng, v1)};
+                           random_ns(rng)};
     case 2:
       return QueryRequest{rng.next_u64(), rng.next_u64(),
-                          random_ns(rng, v1)};
+                          random_ns(rng)};
     case 3: {
       BatchAcquireRequest m;
       m.id = rng.next_u64();
-      m.ns = random_ns(rng, v1);
+      m.ns = random_ns(rng);
       const std::size_t ops = rng.below(20);
       for (std::size_t i = 0; i < ops; ++i)
         m.ops.push_back(
@@ -119,11 +116,11 @@ Request random_request(Rng& rng, bool v1 = false) {
     }
     case 4:
       return ConfigureNamespaceRequest{rng.next_u64(),
-                                       random_ns(rng, /*v1=*/false),
+                                       random_ns(rng),
                                        random_namespace_config(rng)};
     case 5:
       return NamespaceInfoRequest{rng.next_u64(),
-                                  random_ns(rng, /*v1=*/false)};
+                                  random_ns(rng)};
     case 6:
       return ClusterMapRequest{rng.next_u64()};
     case 7:
@@ -132,7 +129,7 @@ Request random_request(Rng& rng, bool v1 = false) {
       return StatsRequest{rng.next_u64()};
     case 9:
       return HandoffRequest{rng.next_u64(), rng.next_u64(),
-                            random_ns(rng, /*v1=*/false), rng.next_u64(),
+                            random_ns(rng), rng.next_u64(),
                             static_cast<Tokens>(rng.below(1 << 20))};
     case 10: {
       ReplicateRequest m;
@@ -142,7 +139,7 @@ Request random_request(Rng& rng, bool v1 = false) {
       const std::size_t deltas = rng.below(20);
       for (std::size_t i = 0; i < deltas; ++i) {
         ReplicaDelta d;
-        d.ns = random_ns(rng, /*v1=*/false);
+        d.ns = random_ns(rng);
         d.key = rng.next_u64();
         d.balance = static_cast<Tokens>(rng.below(1 << 20));
         d.floor = static_cast<Tokens>(
@@ -160,8 +157,8 @@ Request random_request(Rng& rng, bool v1 = false) {
   }
 }
 
-Response random_response(Rng& rng, bool v1 = false) {
-  switch (rng.below(v1 ? 4 : 14)) {
+Response random_response(Rng& rng) {
+  switch (rng.below(14)) {
     case 0:
       return AcquireResponse{rng.next_u64(),
                              static_cast<Tokens>(rng.below(1000)),
@@ -270,16 +267,192 @@ TEST(Protocol, RandomizedResponseReencodeByteIdentity) {
   }
 }
 
+// --------------------------------------------------------- wire stability
+
+std::string to_hex(const std::vector<std::byte>& bytes) {
+  static constexpr char kDigits[] = "0123456789abcdef";
+  std::string out;
+  for (const std::byte b : bytes) {
+    const auto v = std::to_integer<unsigned>(b);
+    out += kDigits[v >> 4];
+    out += kDigits[v & 0xF];
+  }
+  return out;
+}
+
+/// One fixed message per request and response type (plus a traced acquire
+/// and the overload error's extra field), named for failure messages.
+std::vector<std::pair<std::string, std::vector<std::byte>>> golden_frames() {
+  NamespaceConfig config;
+  config.strategy.kind = core::StrategyKind::kGeneralized;
+  config.strategy.a_param = 2;
+  config.strategy.c_param = 12;
+  config.strategy.reactive_k = 1;
+  config.strategy.reactive_useful_only = true;
+  config.delta_us = 50'000;
+  config.initial_tokens = 4;
+  config.idle_ttl_us = 60'000'000;
+  config.max_catchup_ticks = 100;
+  config.audit = true;
+  const cluster::ClusterMap map{9, 64, {1, 2, 5}, 1};
+  const AcquireRequest acquire{0x0102030405060708ULL, 0x1112131415161718ULL,
+                               42, 7};
+  std::vector<std::byte> traced = encode(acquire);
+  attach_trace_context(traced, {0xFEEDFACECAFEBEEFULL, true});
+
+  StatsResponse stats;
+  stats.id = 0xA2;
+  stats.entries.push_back({"served", 0, 12345.0, 0, 0, 0, 0, 0.0, {}});
+  stats.entries.push_back(
+      {"lat", 2, 1000.0, 12.5, 80.0, 240.0, 1999.0, 87654.5,
+       {{3, 10}, {17, 500}}});
+  TracesResponse traces;
+  traces.id = 0xB2;
+  traces.spans.push_back({0xAA, 7, 1000, 50, 3, 2, 4, 2, 1});
+
+  return {
+      {"AcquireRequest", encode(acquire)},
+      {"AcquireRequest+trace", traced},
+      {"RefundRequest", encode(RefundRequest{0x21, 0x2233, 5, 3})},
+      {"QueryRequest", encode(QueryRequest{0x31, 0x3344, 9})},
+      {"BatchAcquireRequest",
+       encode(BatchAcquireRequest{0x41, {{1, 2}, {3, 4}}, 5})},
+      {"ConfigureNamespaceRequest",
+       encode(ConfigureNamespaceRequest{0x51, 6, config})},
+      {"NamespaceInfoRequest", encode(NamespaceInfoRequest{0x61, 6})},
+      {"ClusterMapRequest", encode(ClusterMapRequest{0x71})},
+      {"ApplyMapRequest", encode(ApplyMapRequest{0x81, map})},
+      {"HandoffRequest", encode(HandoffRequest{0x91, 9, 6, 0xABCD, 17})},
+      {"StatsRequest", encode(StatsRequest{0xA1})},
+      {"TracesRequest", encode(TracesRequest{0xB1, 256})},
+      {"ReplicateRequest",
+       encode(ReplicateRequest{0xC1, 9, 41, {{2, 99, 120, 60}, {0, 1, 5, 0}}})},
+      {"ReplicaAckRequest", encode(ReplicaAckRequest{0xD1, 41})},
+      {"PromoteRequest", encode(PromoteRequest{0xE1, 4, 12})},
+      {"AcquireResponse", encode(AcquireResponse{0x0102030405060708ULL, 3, 9})},
+      {"RefundResponse", encode(RefundResponse{0x22, 2, 7})},
+      {"QueryResponse", encode(QueryResponse{0x32, 5, true})},
+      {"BatchAcquireResponse",
+       encode(BatchAcquireResponse{0x42, {{2, 0}, {0, 7}}})},
+      {"ConfigureNamespaceResponse",
+       encode(ConfigureNamespaceResponse{0x52, true, 12})},
+      {"NamespaceInfoResponse",
+       encode(NamespaceInfoResponse{0x62, true, config, 12, 99})},
+      {"ClusterMapResponse", encode(ClusterMapResponse{0x72, map})},
+      {"ApplyMapResponse", encode(ApplyMapResponse{0x82, true, 9, 5})},
+      {"HandoffResponse", encode(HandoffResponse{0x92, true})},
+      {"StatsResponse", encode(stats)},
+      {"TracesResponse", encode(traces)},
+      {"PromoteResponse", encode(PromoteResponse{0xE2, true, 13, 17, 250})},
+      {"RedirectResponse", encode(RedirectResponse{0xF1, 9, 2})},
+      {"ErrorResponse",
+       encode(ErrorResponse{0xF2, ErrorCode::kUnknownNamespace})},
+      {"ErrorResponse+retry",
+       encode(ErrorResponse{0xF3, ErrorCode::kOverloaded, 4321})},
+  };
+}
+
+TEST(Protocol, GoldenWireBytes) {
+  // The exact bytes of one fixed message per type. The round-trip fuzzes
+  // only pin the encoder against the decoder of the same build; this pins
+  // the wire itself, so a change that moves any byte fails here and must
+  // be a deliberate protocol change.
+  const std::vector<std::pair<std::string, std::string>> expected = {
+      {"AcquireRequest",
+       "020108070605040302010700000018171615141312112a00000000000000"},
+      {"AcquireRequest+trace",
+       "02410807060504030201efbefecacefaedfe010700000018171615141312112a"
+       "00000000000000"},
+      {"RefundRequest",
+       "020221000000000000000300000033220000000000000500000000000000"},
+      {"QueryRequest",
+       "02033100000000000000090000004433000000000000"},
+      {"BatchAcquireRequest",
+       "0204410000000000000005000000020000000100000000000000020000000000"
+       "000003000000000000000400000000000000"},
+      {"ConfigureNamespaceRequest",
+       "02055100000000000000060000000202000000000000000c0000000000000001"
+       "000000000000000150c300000000000004000000000000000087930300000000"
+       "640000000000000001"},
+      {"NamespaceInfoRequest",
+       "0206610000000000000006000000"},
+      {"ClusterMapRequest",
+       "02077100000000000000"},
+      {"ApplyMapRequest",
+       "0208810000000000000009000000000000004000000003000000010000000200"
+       "00000500000001000000"},
+      {"HandoffRequest",
+       "02099100000000000000090000000000000006000000cdab0000000000001100"
+       "000000000000"},
+      {"StatsRequest",
+       "020aa100000000000000"},
+      {"TracesRequest",
+       "020bb10000000000000000010000"},
+      {"ReplicateRequest",
+       "020cc10000000000000009000000000000002900000000000000020000000200"
+       "0000630000000000000078000000000000003c00000000000000000000000100"
+       "00000000000005000000000000000000000000000000"},
+      {"ReplicaAckRequest",
+       "020dd1000000000000002900000000000000"},
+      {"PromoteRequest",
+       "020ee100000000000000040000000c00000000000000"},
+      {"AcquireResponse",
+       "0281080706050403020103000000000000000900000000000000"},
+      {"RefundResponse",
+       "0282220000000000000002000000000000000700000000000000"},
+      {"QueryResponse",
+       "02833200000000000000050000000000000001"},
+      {"BatchAcquireResponse",
+       "0284420000000000000002000000020000000000000000000000000000000000"
+       "0000000000000700000000000000"},
+      {"ConfigureNamespaceResponse",
+       "02855200000000000000010c00000000000000"},
+      {"NamespaceInfoResponse",
+       "02866200000000000000010202000000000000000c0000000000000001000000"
+       "000000000150c300000000000004000000000000000087930300000000640000"
+       "0000000000010c000000000000006300000000000000"},
+      {"ClusterMapResponse",
+       "0287720000000000000009000000000000004000000003000000010000000200"
+       "00000500000001000000"},
+      {"ApplyMapResponse",
+       "028882000000000000000109000000000000000500000000000000"},
+      {"HandoffResponse",
+       "0289920000000000000001"},
+      {"StatsResponse",
+       "028aa20000000000000002000000060000007365727665640000000000801cc8"
+       "40030000006c6174020000000000408f40000000000000294000000000000054"
+       "400000000000006e4000000000003c9f40000000006866f54002000000030000"
+       "000a0000000000000011000000f401000000000000"},
+      {"TracesResponse",
+       "028bb20000000000000001000000aa000000000000000700000000000000e803"
+       "00000000000032000000000000000300000002000000040201"},
+      {"PromoteResponse",
+       "028ee200000000000000010d000000000000001100000000000000fa00000000"
+       "000000"},
+      {"RedirectResponse",
+       "02fef100000000000000090000000000000002000000"},
+      {"ErrorResponse",
+       "02fff20000000000000002"},
+      {"ErrorResponse+retry",
+       "02fff30000000000000005e110000000000000"},
+  };
+  const auto frames = golden_frames();
+  ASSERT_EQ(frames.size(), expected.size());
+  for (std::size_t i = 0; i < frames.size(); ++i) {
+    EXPECT_EQ(frames[i].first, expected[i].first);
+    EXPECT_EQ(to_hex(frames[i].second), expected[i].second)
+        << frames[i].first;
+  }
+}
+
 TEST(Protocol, RoutingWalkMatchesFullDecode) {
   // for_each_data_op_key mirrors decode_request's data-op layout; this
   // fuzz pins the two together so the wire format cannot drift apart.
   Rng rng(7777);
   using KeyList = std::vector<std::pair<NamespaceId, std::uint64_t>>;
   for (int i = 0; i < 400; ++i) {
-    const bool v1 = rng.bernoulli(0.3);
-    const Request msg = random_request(rng, v1);
-    const std::vector<std::byte> wire =
-        encode(msg, v1 ? kProtocolVersionV1 : kProtocolVersion);
+    const Request msg = random_request(rng);
+    const std::vector<std::byte> wire = encode(msg);
     KeyList walked;
     const bool ok = for_each_data_op_key(
         wire, [&](NamespaceId ns, std::uint64_t key) {
@@ -343,9 +516,21 @@ TEST(Protocol, TrailingBytesRejected) {
 }
 
 TEST(Protocol, WrongVersionRejected) {
-  std::vector<std::byte> wire = encode(AcquireRequest{1, 2, 3});
-  wire[0] = std::byte{kProtocolVersion + 1};
-  EXPECT_THROW(decode_request(wire), IoError);
+  // kProtocolVersion is the only version spoken: a frame claiming any
+  // other (the retired v1 included) is garbage to every decoding path.
+  for (const std::uint8_t version : {0, 1, kProtocolVersion + 1}) {
+    std::vector<std::byte> request = encode(AcquireRequest{1, 2, 3});
+    std::vector<std::byte> response = encode(AcquireResponse{1, 2, 3});
+    request[0] = std::byte{version};
+    response[0] = std::byte{version};
+    EXPECT_THROW(decode_request(request), IoError) << int(version);
+    EXPECT_THROW(decode_response(response), IoError) << int(version);
+    EXPECT_FALSE(try_parse_header(request).has_value()) << int(version);
+    EXPECT_FALSE(try_parse_header(response).has_value()) << int(version);
+    EXPECT_FALSE(for_each_data_op_key(
+        request, [](NamespaceId, std::uint64_t) { return true; }))
+        << int(version);
+  }
 }
 
 TEST(Protocol, UnknownTypeRejected) {
@@ -365,10 +550,32 @@ TEST(Protocol, NegativeTokenCountRejected) {
   w.u8(kProtocolVersion);
   w.u8(static_cast<std::uint8_t>(MsgType::kAcquire));
   w.u64(1);
-  w.u32(0);  // namespace id (v2)
+  w.u32(0);  // namespace id
   w.u64(42);
   w.i64(-5);
   EXPECT_THROW(decode_request(w.data()), IoError);
+
+  // Nor can a well-behaved server: accounts never overdraft, so a negative
+  // grant, balance or capacity in a response is a malformed frame. Each
+  // response is encoded with one negative token field and must not decode.
+  NamespaceConfig config;
+  const std::vector<std::pair<const char*, std::vector<std::byte>>> responses =
+      {
+          {"acquire granted", encode(AcquireResponse{1, -5, 7})},
+          {"acquire balance", encode(AcquireResponse{1, 5, -7})},
+          {"batch granted", encode(BatchAcquireResponse{1, {{1, 1}, {-5, 7}}})},
+          {"batch balance", encode(BatchAcquireResponse{1, {{1, 1}, {5, -7}}})},
+          {"refund accepted", encode(RefundResponse{1, -5, 7})},
+          {"refund balance", encode(RefundResponse{1, 5, -7})},
+          {"query balance", encode(QueryResponse{1, -7, true})},
+          {"configure capacity",
+           encode(ConfigureNamespaceResponse{1, true, -1})},
+          {"info capacity",
+           encode(NamespaceInfoResponse{1, true, config, -1, 0})},
+      };
+  for (const auto& [what, wire] : responses) {
+    EXPECT_THROW(decode_response(wire), IoError) << what;
+  }
 }
 
 TEST(Protocol, OversizedBatchRejectedAtEncodeTime) {
@@ -388,64 +595,6 @@ TEST(Protocol, OversizedBatchCountRejectedBeforeAllocation) {
   w.u32(5);  // namespace id (v2)
   w.u32(0xFFFFFFFF);  // promises 4 billion ops
   EXPECT_THROW(decode_request(w.data()), IoError);
-}
-
-// ------------------------------------------------------------ v1 interop
-
-TEST(ProtocolV1, V1FramesRoundTripUnchanged) {
-  // A v1 frame is a v2 frame about the default namespace: encoding at
-  // version 1 and decoding yields the same message (ns == 0), and
-  // re-encoding at version 1 reproduces the bytes exactly.
-  Rng rng(7);
-  for (int i = 0; i < 300; ++i) {
-    const Request msg = random_request(rng, /*v1=*/true);
-    const std::vector<std::byte> wire = encode(msg, kProtocolVersionV1);
-    EXPECT_EQ(static_cast<std::uint8_t>(wire[0]), kProtocolVersionV1);
-    std::uint8_t version = 0;
-    const Request decoded = decode_request(wire, version);
-    EXPECT_EQ(version, kProtocolVersionV1);
-    EXPECT_EQ(decoded, msg);
-    EXPECT_EQ(namespace_of(decoded), kDefaultNamespace);
-    EXPECT_EQ(encode(decoded, kProtocolVersionV1), wire)
-        << "v1 re-encode diverged, iteration " << i;
-
-    const Response resp = random_response(rng, /*v1=*/true);
-    const std::vector<std::byte> resp_wire = encode(resp, kProtocolVersionV1);
-    EXPECT_EQ(decode_response(resp_wire), resp);
-    EXPECT_EQ(encode(decode_response(resp_wire), kProtocolVersionV1),
-              resp_wire);
-  }
-}
-
-TEST(ProtocolV1, V1AndV2EncodingsOfTheSameOpDecodeIdentically) {
-  const AcquireRequest req{9, 1234, 5};  // ns defaults to 0
-  const Request v1 = decode_request(encode(Request{req}, kProtocolVersionV1));
-  const Request v2 = decode_request(encode(Request{req}, kProtocolVersion));
-  EXPECT_EQ(v1, v2);
-}
-
-TEST(ProtocolV1, V1CannotCarryNamespacesOrAdminOrErrors) {
-  EXPECT_THROW(encode(Request{AcquireRequest{1, 2, 3, /*ns=*/7}},
-                      kProtocolVersionV1),
-               util::InvariantError);
-  EXPECT_THROW(encode(Request{ConfigureNamespaceRequest{1, 0, {}}},
-                      kProtocolVersionV1),
-               util::InvariantError);
-  EXPECT_THROW(encode(Response{ErrorResponse{1, ErrorCode::kMalformedBody}},
-                      kProtocolVersionV1),
-               util::InvariantError);
-  // ...and a v1 frame claiming an admin type is rejected by the decoder.
-  std::vector<std::byte> admin = encode(NamespaceInfoRequest{1, 0});
-  admin[0] = std::byte{kProtocolVersionV1};
-  EXPECT_THROW(decode_request(admin), IoError);
-}
-
-TEST(ProtocolV1, UnknownVersionRejected) {
-  std::vector<std::byte> wire = encode(AcquireRequest{1, 2, 3});
-  wire[0] = std::byte{kProtocolVersion + 1};
-  EXPECT_THROW(decode_request(wire), IoError);
-  wire[0] = std::byte{0};
-  EXPECT_THROW(decode_request(wire), IoError);
 }
 
 // --------------------------------------------------------- v2 additions
@@ -517,7 +666,6 @@ TEST(ProtocolV2, TryParseHeaderSplitsGarbageFromBadBodies) {
   EXPECT_THROW(decode_request(bad_body), IoError);
   const auto head = try_parse_header(bad_body);
   ASSERT_TRUE(head.has_value());
-  EXPECT_EQ(head->version, kProtocolVersion);
   EXPECT_EQ(head->type, MsgType::kAcquire);
   EXPECT_FALSE(head->is_response);
   EXPECT_EQ(head->id, 42u);
@@ -530,10 +678,10 @@ TEST(ProtocolV2, TryParseHeaderSplitsGarbageFromBadBodies) {
   std::vector<std::byte> bad_version = good;
   bad_version[0] = std::byte{9};
   EXPECT_FALSE(try_parse_header(bad_version).has_value());
-  // Type undefined for the claimed version (admin under v1).
-  std::vector<std::byte> v1_admin = encode(NamespaceInfoRequest{1, 0});
-  v1_admin[0] = std::byte{kProtocolVersionV1};
-  EXPECT_FALSE(try_parse_header(v1_admin).has_value());
+  // Undefined type byte.
+  std::vector<std::byte> bad_type = good;
+  bad_type[1] = std::byte{0x3F};
+  EXPECT_FALSE(try_parse_header(bad_type).has_value());
 }
 
 TEST(ProtocolV2, StatsRoundTripIncludingHistogramEntries) {
@@ -650,20 +798,9 @@ TEST(ProtocolV2, OverloadedErrorCarriesRetryAfter) {
                IoError);
 }
 
-TEST(ProtocolV2, V1CannotCarryStatsOrOverload) {
-  EXPECT_THROW(encode(Request{StatsRequest{1}}, kProtocolVersionV1),
-               util::InvariantError);
-  EXPECT_THROW(encode(Response{StatsResponse{1, {}}}, kProtocolVersionV1),
-               util::InvariantError);
-  EXPECT_THROW(
-      encode(Response{ErrorResponse{1, ErrorCode::kOverloaded, 10}},
-             kProtocolVersionV1),
-      util::InvariantError);
-}
-
 TEST(ProtocolV2, RandomizedV2FuzzCoversNewMessages) {
-  // Mirror of the v1 byte-identity fuzz over the full v2 message set
-  // (admin + error frames included), plus every-truncation rejection.
+  // Byte-identity fuzz over the full message set (admin + error frames
+  // included), plus every-truncation rejection.
   Rng rng(31337);
   for (int i = 0; i < 300; ++i) {
     const Request msg = random_request(rng);
@@ -699,10 +836,8 @@ TEST(ProtocolV2, TracedFramesFuzzRoundTripAndRejectTruncation) {
     std::vector<std::byte> wire = encode(msg);
     attach_trace_context(wire, ctx);
 
-    std::uint8_t version = 0;
     std::optional<TraceContext> seen;
-    EXPECT_EQ(decode_request(wire, version, seen), msg);
-    EXPECT_EQ(version, kProtocolVersion);
+    EXPECT_EQ(decode_request(wire, seen), msg);
     ASSERT_TRUE(seen.has_value());
     EXPECT_EQ(*seen, ctx);
 
@@ -782,13 +917,6 @@ TEST(ProtocolV2, OversizedReplicaDeltaCountRejectedBeforeAllocation) {
   w.u64(1);           // seq
   w.u32(0xFFFFFFFF);  // promises 4 billion deltas
   EXPECT_THROW(decode_request(w.data()), IoError);
-}
-
-TEST(ProtocolV2, V1CannotCarryReplication) {
-  EXPECT_THROW(encode(Request{ReplicaAckRequest{1, 2}}, kProtocolVersionV1),
-               util::InvariantError);
-  EXPECT_THROW(encode(Request{PromoteRequest{1, 2, 3}}, kProtocolVersionV1),
-               util::InvariantError);
 }
 
 TEST(ProtocolV2, ClusterMapCarriesReplicationFactor) {

@@ -6,7 +6,7 @@
 // different policies: namespace 0 (the default, "interactive") runs the
 // paper's generalized strategy, and namespace 1 ("bulk") is created at
 // runtime through the admin API with a tighter classic token bucket and a
-// slower period. Both namespaces run with the §3.4 auditor wired in, so
+// slower period. Both namespaces run with the §3.4 watchdog on every key, so
 // the run ends by proving that no served key in either namespace ever
 // exceeded its own ceil(t/Δ)+C burst bound.
 //
@@ -169,8 +169,15 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(stats.proactive_dropped));
   }
 
-  const auto violation = table.audit_violation();
-  std::printf("burst bound (<= ceil(t/Δ)+C per key, per namespace): %s\n",
-              violation ? violation->c_str() : "HELD ON ALL KEYS");
-  return violation ? 1 : 0;
+  // The verdict needs checks as well as no violations: a checker that made
+  // no checks proves nothing.
+  const service::TableStats stats = table.stats();
+  const bool held =
+      stats.watchdog_violations == 0 && stats.watchdog_checks > 0;
+  std::printf("burst bound (<= ceil(t/Δ)+C per key, per namespace): %s "
+              "(%llu grants checked, %llu over the bound)\n",
+              held ? "HELD ON ALL KEYS" : "NOT SHOWN",
+              static_cast<unsigned long long>(stats.watchdog_checks),
+              static_cast<unsigned long long>(stats.watchdog_violations));
+  return held ? 0 : 1;
 }

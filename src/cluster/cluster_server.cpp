@@ -21,7 +21,6 @@ ClusterServer::ClusterServer(service::AccountTable& table,
       server_(table, tap_, with_node(options, transport)),
       tracer_(options.tracer),
       registry_(options.registry),
-      engine_(options.engine),
       repl_headroom_(options.replication_headroom),
       repl_flush_ops_(std::max<std::uint32_t>(options.replication_flush_ops, 1)),
       map_(std::move(map)),
@@ -29,16 +28,6 @@ ClusterServer::ClusterServer(service::AccountTable& table,
   repl_ = std::make_unique<ReplicationEngine>(table, transport, map_);
   repl_->set_tracer(tracer_);
   if (map_.replicas > 0) table_->enable_replication(repl_headroom_);
-  if (engine_ != nullptr) {
-    // Engine plane: deltas are captured at the workers' drain boundaries
-    // (the locked-plane per-request flush would run before the queued ops
-    // even execute). Precompute each worker's shard set once.
-    worker_shards_.resize(engine_->worker_count());
-    for (std::size_t s = 0; s < table_->shard_count(); ++s)
-      worker_shards_[s % engine_->worker_count()].push_back(s);
-    engine_->set_drain_hook(
-        [this](std::size_t w) { flush_worker_shards(w); });
-  }
   if (registry_) register_metrics();
   transport_->set_peer_down_handler(
       [this](NodeId peer) { on_peer_down(peer); });
@@ -47,22 +36,24 @@ ClusterServer::ClusterServer(service::AccountTable& table,
   });
 }
 
+service::ServerOptions ClusterServer::with_node(
+    service::ServerOptions options, runtime::Transport& transport) {
+  TOKA_CHECK_MSG(options.engine == nullptr,
+                 "ClusterServer runs the locked plane only; "
+                 "ServerOptions::engine must be unset");
+  if (options.node == kNoNode) options.node = transport.self();
+  return options;
+}
+
 ClusterServer::~ClusterServer() {
   // Quiesce the real transport first; the inner server then detaches from
   // the tap, which nothing can deliver through anymore. Only then is it
-  // safe to pull the cluster gauges out of the registry. The engine's
-  // drain hook goes first of all — workers keep draining until the engine
-  // itself stops, and the hook calls back into this object.
-  if (engine_ != nullptr) engine_->set_drain_hook({});
+  // safe to pull the cluster gauges out of the registry.
   transport_->set_peer_down_handler({});
   transport_->set_handler({});
   if (registry_) {
     for (const std::string& name : metric_names_) registry_->remove(name);
   }
-}
-
-void ClusterServer::flush_worker_shards(std::size_t w) {
-  repl_->flush_shards(worker_shards_[w]);
 }
 
 void ClusterServer::register_metrics() {
@@ -345,13 +336,10 @@ void ClusterServer::on_frame(NodeId from, std::vector<std::byte> payload) {
     std::uint64_t foreign_key = 0;
     std::uint64_t epoch = 0;
     bool walked;
-    // Locked plane only: the ownership walk doubles as delta capture —
-    // the shards this frame touches get their dirty accounts flushed to
-    // followers right after the op executes. (Engine plane flushes at the
-    // workers' drain boundaries instead; at deliver time the ops are still
-    // queued, so a post-deliver flush here would capture nothing.) The
-    // inline buffer covers every single-key op without touching the heap;
-    // only a batch spanning more shards spills.
+    // The ownership walk doubles as delta capture: the shards this frame
+    // touches get their dirty accounts flushed to followers right after
+    // the op executes. The inline buffer covers every single-key op
+    // without touching the heap; only a batch spanning more shards spills.
     std::array<std::size_t, 8> touched_local;
     std::size_t touched_n = 0;
     std::vector<std::size_t> touched_spill;
@@ -359,7 +347,7 @@ void ClusterServer::on_frame(NodeId from, std::vector<std::byte> payload) {
       std::shared_lock lock(map_mu_);
       epoch = map_.epoch;
       const NodeId self_id = transport_->self();
-      const bool capture = engine_ == nullptr && map_.replicas > 0 &&
+      const bool capture = map_.replicas > 0 &&
                            head->type != proto::MsgType::kQuery;
       walked = proto::for_each_data_op_key(
           payload, [&](service::NamespaceId ns, std::uint64_t key) {

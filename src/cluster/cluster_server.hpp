@@ -30,7 +30,8 @@
 //
 // With ClusterMap::replicas > 0 the node additionally runs a
 // ReplicationEngine (see replication.hpp): owned accounts stream deltas to
-// their ring successors at drain boundaries, kReplicate/kReplicaAck/
+// their ring successors after the requests that touch them (coalesced per
+// ServerOptions::replication_flush_ops), kReplicate/kReplicaAck/
 // kPromote frames are routed to it, replica installs ride every map
 // adoption, and a peer-down notification auto-promotes through the dead
 // node's id-order successor. Every balance the cluster drops — refused
@@ -200,17 +201,14 @@ class ClusterServer {
   std::optional<service::protocol::TraceContext> mint_cluster_trace();
   /// Peer-down reaction: the dead node's id-order successor promotes.
   void on_peer_down(NodeId peer);
-  /// Engine-plane drain hook: streams worker `w`'s shards' dirty deltas.
-  void flush_worker_shards(std::size_t w);
   void register_metrics();
 
   /// Fills in ServerOptions::node with transport.self() when unset, so
-  /// both layers stamp exported spans with this node's identity.
+  /// both layers stamp exported spans with this node's identity. Rejects
+  /// ServerOptions::engine: the cluster layer captures replica deltas
+  /// after each request executes, which a queued engine op has not.
   static service::ServerOptions with_node(service::ServerOptions options,
-                                          runtime::Transport& transport) {
-    if (options.node == kNoNode) options.node = transport.self();
-    return options;
-  }
+                                          runtime::Transport& transport);
 
   service::AccountTable* table_;
   runtime::Transport* transport_;
@@ -218,18 +216,14 @@ class ClusterServer {
   service::Server server_;
   obs::Tracer* tracer_ = nullptr;  ///< the inner server's flight recorder
   obs::Registry* registry_;
-  service::ShardEngine* engine_ = nullptr;  ///< nullptr in the locked plane
   Tokens repl_headroom_ = 0;
-  std::uint32_t repl_flush_ops_ = 1;  ///< locked-plane flush coalescing
+  std::uint32_t repl_flush_ops_ = 1;  ///< delta flush coalescing
   std::unique_ptr<ReplicationEngine> repl_;
-  /// Locked-plane coalescing state: shards touched by owned data ops since
-  /// the last flush, and how many ops accumulated them.
+  /// Flush coalescing state: shards touched by owned data ops since the
+  /// last flush, and how many ops accumulated them.
   std::mutex repl_pending_mu_;
   std::vector<std::size_t> repl_pending_;
   std::uint32_t repl_pending_ops_ = 0;
-  /// Shard indices per engine worker (w owns shard s iff s % workers == w);
-  /// empty without an engine.
-  std::vector<std::vector<std::size_t>> worker_shards_;
   std::vector<std::string> metric_names_;
 
   mutable std::shared_mutex map_mu_;

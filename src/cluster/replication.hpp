@@ -98,8 +98,7 @@ class ReplicationEngine {
   /// frame per follower that got deltas, stamped with the next emission
   /// round. Deltas whose key this node no longer owns are skipped (a map
   /// transition already moved them). Serialized across callers; safe from
-  /// request threads and engine workers alike (the drain itself locks per
-  /// table mode — exclusive-shard callers must own the shards).
+  /// any request thread (the drain locks each shard per table mode).
   void flush_shards(const std::vector<std::size_t>& shards);
 
   /// A follower acked its stream: advances the lane watermark that lets

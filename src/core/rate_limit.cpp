@@ -34,76 +34,78 @@ void RateLimitAuditor::retract(std::size_t n) {
   sends_.resize(sends_.size() - n);
 }
 
+std::optional<RateLimitViolation> RateLimitAuditor::window(
+    std::size_t i, std::size_t j) const {
+  const std::uint64_t count = j - i + 1;
+  const std::uint64_t bound =
+      static_cast<std::uint64_t>((sends_[j] - sends_[i]) / delta_) + 1 +
+      static_cast<std::uint64_t>(capacity_);
+  if (count <= bound) return std::nullopt;
+  return RateLimitViolation{sends_[i], sends_[j], count, bound};
+}
+
 std::optional<RateLimitViolation> RateLimitAuditor::first_violation() const {
-  const auto cap = static_cast<std::uint64_t>(capacity_);
   for (std::size_t i = 0; i < sends_.size(); ++i) {
     for (std::size_t j = i; j < sends_.size(); ++j) {
-      const std::uint64_t count = j - i + 1;
-      const TimeUs elapsed = sends_[j] - sends_[i];
-      const std::uint64_t bound =
-          static_cast<std::uint64_t>(elapsed / delta_) + 1 + cap;
-      if (count > bound) {
-        return RateLimitViolation{sends_[i], sends_[j], count, bound};
-      }
+      if (auto v = window(i, j)) return v;
     }
   }
   return std::nullopt;
 }
 
-BurstWatchdog::BurstWatchdog(TimeUs delta, Tokens capacity,
-                             std::size_t window)
-    : delta_(delta), capacity_(capacity), ring_(std::max<std::size_t>(window, 2)) {
+std::optional<RateLimitViolation> RateLimitAuditor::newest_violation() const {
+  for (std::size_t i = 0; i < sends_.size(); ++i) {
+    if (auto v = window(i, sends_.size() - 1)) return v;
+  }
+  return std::nullopt;
+}
+
+BurstWatchdog::BurstWatchdog(TimeUs delta, Tokens capacity)
+    : delta_(delta),
+      capacity_(capacity),
+      // Clamped so 2·keep_ cannot overflow; no real history gets near it.
+      keep_(static_cast<std::size_t>(
+                std::clamp<Tokens>(capacity, 0, Tokens{1} << 40)) +
+            1) {
   TOKA_CHECK_MSG(delta > 0, "period must be positive, got " << delta);
   TOKA_CHECK_MSG(capacity >= 0,
                  "capacity must be non-negative, got " << capacity);
 }
 
-std::uint64_t BurstWatchdog::record(TimeUs t, Tokens n) {
-  if (n <= 0) return 0;
-  // Coalesce same-instant grants into one record: the window sweep then
-  // scales with distinct timestamps, and a burst at one instant (legal up
-  // to C+1) costs one slot, not C.
-  if (size_ > 0) {
-    Grant& newest = ring_[(head_ + size_ - 1) % ring_.size()];
-    if (t < newest.t) t = newest.t;  // monotonic clamp, like settle()
-    if (t == newest.t) {
-      newest.count += n;
-    } else if (size_ == ring_.size()) {
-      ring_[head_] = Grant{t, n};
-      head_ = (head_ + 1) % ring_.size();
-    } else {
-      ring_[(head_ + size_) % ring_.size()] = Grant{t, n};
-      ++size_;
+bool BurstWatchdog::record(TimeUs t, Tokens n) {
+  if (n <= 0) return false;
+  if (!history_.empty() && t < history_.back().t) t = history_.back().t;
+  if (history_.empty() || t != history_.back().t) {
+    // A new instant anchors windows at its first grant: S_{i-1}·Δ - t_i.
+    const Wide anchor = Wide{total_} * delta_ - t;
+    const Wide min_anchor =
+        history_.empty() ? anchor
+                         : std::min(history_.back().min_anchor, anchor);
+    if (history_.size() == 2 * keep_) {
+      // Amortized O(1): every keep_ new records, drop all but the newest
+      // keep_ (the most a retract can reach; see the header).
+      history_.erase(history_.begin(),
+                     history_.end() - static_cast<std::ptrdiff_t>(keep_));
     }
-  } else {
-    ring_[head_] = Grant{t, n};
-    size_ = 1;
+    history_.push_back(Record{t, 0, min_anchor});
   }
-  // Sweep every retained window ending now: walking newest → oldest, the
-  // running sum is count(i..newest) and the anchor t_i widens the bound.
-  const auto cap = static_cast<std::uint64_t>(capacity_);
-  const TimeUs end = ring_[(head_ + size_ - 1) % ring_.size()].t;
-  std::uint64_t sum = 0;
-  std::uint64_t bad = 0;
-  for (std::size_t back = 0; back < size_; ++back) {
-    const Grant& g = ring_[(head_ + size_ - 1 - back) % ring_.size()];
-    sum += static_cast<std::uint64_t>(g.count);
-    const std::uint64_t bound =
-        static_cast<std::uint64_t>((end - g.t) / delta_) + 1 + cap;
-    ++checks_;
-    if (sum > bound) ++bad;
-  }
-  violations_ += bad;
+  history_.back().count += n;
+  total_ += n;
+  ++checks_;
+  const bool bad = Wide{total_} * delta_ - t - history_.back().min_anchor >
+                   (Wide{capacity_} + 1) * delta_;
+  if (bad) ++violations_;
   return bad;
 }
 
 void BurstWatchdog::retract(Tokens n) {
-  while (n > 0 && size_ > 0) {
-    Grant& newest = ring_[(head_ + size_ - 1) % ring_.size()];
+  while (n > 0 && !history_.empty()) {
+    Record& newest = history_.back();
     const Tokens take = std::min(newest.count, n);
     newest.count -= take;
+    total_ -= take;
     n -= take;
-    if (newest.count == 0) --size_;
+    if (newest.count == 0) history_.pop_back();
   }
 }
 

@@ -55,54 +55,78 @@ class RateLimitAuditor {
   /// violation found, or nullopt if the trace satisfies the bound.
   std::optional<RateLimitViolation> first_violation() const;
 
+  /// Checks only the windows that end at the newest send: the verdict an
+  /// online checker owes after each grant (BurstWatchdog's reference).
+  std::optional<RateLimitViolation> newest_violation() const;
+
   /// Largest number of sends observed in any window of length `window`.
   std::uint64_t max_in_window(TimeUs window) const;
 
  private:
+  /// The window [sends_[i], sends_[j]] if it exceeds the bound.
+  std::optional<RateLimitViolation> window(std::size_t i, std::size_t j) const;
+
   TimeUs delta_;
   Tokens capacity_;
   std::vector<TimeUs> sends_;
 };
 
-/// Bounded-memory online variant of RateLimitAuditor, cheap enough to run
-/// inside the data plane on sampled keys: a fixed ring of the most recent
-/// grant records (coalesced per timestamp) re-checked on every grant.
+/// Online, exact form of RateLimitAuditor, cheap enough to run inside the
+/// data plane: O(1) amortized per grant, memory bounded by 2(C+1) records.
 ///
-/// Sound but windowed — any violation it flags is a real §3.4 violation
-/// (a retained window genuinely exceeded its bound); history that rotated
-/// out of the ring is no longer checked, so absence of violations bounds
-/// only the retained horizon. Refunds must be retracted (newest-first,
-/// like RateLimitAuditor) so the audited trace holds net admissions.
+/// Exactness. Counts are integers, so count <= floor(e/Δ) + 1 + C is the
+/// same condition as (count - 1 - C)·Δ <= e. With S_j the running grant
+/// total, a window [t_i, t_j] holds S_j - S_{i-1} sends, so the newest
+/// grant violates some window ending at it iff
+///
+///     S_j·Δ - t_j - M > (1 + C)·Δ,   M = min over sends i of S_{i-1}·Δ - t_i
+///
+/// Grants at one instant share a record (t, count, prefix-min of M); its
+/// first send is the record's best anchor, so M needs one term per record.
+///
+/// Retention. The refund path caps a refund at C - balance and the balance
+/// stays in [0, C], so the trace never shrinks more than C grants below
+/// any earlier length: a retract reaches at most the C newest grants, and
+/// the newest C + 1 records cover it. Older records are dropped, their
+/// anchors already folded into every younger record's prefix-min. Refunds
+/// must be retracted newest-first, like RateLimitAuditor, so the audited
+/// trace holds net admissions.
 class BurstWatchdog {
  public:
-  /// Δ and C of the strategy under audit; `window` is the ring capacity
-  /// in distinct grant timestamps.
-  BurstWatchdog(TimeUs delta, Tokens capacity, std::size_t window = 32);
+  /// Δ and C of the strategy under audit.
+  BurstWatchdog(TimeUs delta, Tokens capacity);
 
-  /// Records `n` grants at non-decreasing time t, then checks every
-  /// retained send-anchored window ending at t. Returns how many windows
-  /// violated the bound (0 for a clean grant).
-  std::uint64_t record(TimeUs t, Tokens n);
+  /// Records `n` grants at time t (clamped forward to the newest record, as
+  /// settle() never runs a clock backwards) and checks every send-anchored
+  /// window ending at the newest grant. Returns true if one exceeds the
+  /// bound; n <= 0 records and checks nothing.
+  bool record(TimeUs t, Tokens n);
 
-  /// Strikes the `n` newest grants (the refund path). Clamps at what the
-  /// ring still holds — rotated-out history cannot be retracted.
+  /// Strikes the `n` newest grants (the refund path). Within the refund
+  /// discipline above a retract never reaches a dropped record; one that
+  /// would is clamped at what the retained records hold.
   void retract(Tokens n);
 
-  /// Windows checked / windows in violation since construction.
+  /// Grants checked / grants that closed a window over the bound.
   std::uint64_t checks() const { return checks_; }
   std::uint64_t violations() const { return violations_; }
 
  private:
-  struct Grant {
+  /// Anchor arithmetic is 128-bit: Δ and C come from admin-set namespace
+  /// policy, and (1 + C)·Δ or S·Δ may not fit 64 bits.
+  using Wide = __int128;
+
+  struct Record {
     TimeUs t = 0;
     Tokens count = 0;
+    Wide min_anchor = 0;  ///< M over this record and all older ones
   };
 
   TimeUs delta_;
   Tokens capacity_;
-  std::vector<Grant> ring_;  ///< fixed capacity; head_ is the oldest slot
-  std::size_t head_ = 0;
-  std::size_t size_ = 0;
+  std::size_t keep_;  ///< C + 1: records a retract can reach
+  std::int64_t total_ = 0;  ///< S: net grants, dropped records included
+  std::vector<Record> history_;  ///< oldest first, at most 2·keep_
   std::uint64_t checks_ = 0;
   std::uint64_t violations_ = 0;
 };

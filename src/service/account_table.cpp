@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <bit>
 #include <chrono>
-#include <sstream>
 #include <utility>
 
 #include "util/error.hpp"
@@ -17,10 +16,10 @@ namespace {
 // independent bit stream, so sampled keys land on every shard.
 constexpr std::uint64_t kWatchdogSalt = 0xA24BAED4963EE407ULL;
 
-bool watchdog_samples(std::uint64_t sample_every, NamespaceId ns,
+bool watchdog_samples(std::uint64_t sample_every, bool audit, NamespaceId ns,
                       std::uint64_t key) {
+  if (audit || sample_every == 1) return true;
   if (sample_every == 0) return false;
-  if (sample_every == 1) return true;
   std::uint64_t state = AccountTable::fold_key(ns, key) ^ kWatchdogSalt;
   return util::splitmix64(state) % sample_every == 0;
 }
@@ -236,12 +235,9 @@ AccountTable::Entry& AccountTable::find_or_create(
                                    /*allow_overdraft=*/false,
                                    core::RoundingMode::kRandomized,
                                    current->bucket_cap),
-                current, tick, now, nullptr, 0, 0, 0, false, nullptr};
-    if (current->config.audit) {
-      entry.auditor = std::make_unique<core::RateLimitAuditor>(
-          current->config.delta_us, current->capacity);
-    }
-    if (watchdog_samples(config_.watchdog_sample, current->id, key)) {
+                current, tick, now, 0, 0, 0, false, nullptr};
+    if (watchdog_samples(config_.watchdog_sample, current->config.audit,
+                         current->id, key)) {
       entry.watchdog = std::make_unique<core::BurstWatchdog>(
           current->config.delta_us, current->capacity);
     }
@@ -302,13 +298,9 @@ AcquireResult AccountTable::acquire_locked(
   stats.tokens_requested += static_cast<std::uint64_t>(n);
   stats.tokens_granted += static_cast<std::uint64_t>(granted);
   shard.hot.record(fold_key(ns->id, key));
-  if (entry.auditor) {
-    for (Tokens i = 0; i < granted; ++i) entry.auditor->record(now);
-  }
   if (entry.watchdog && granted > 0) {
-    const std::uint64_t before = entry.watchdog->checks();
-    stats.watchdog_violations += entry.watchdog->record(now, granted);
-    stats.watchdog_checks += entry.watchdog->checks() - before;
+    ++stats.watchdog_checks;
+    if (entry.watchdog->record(now, granted)) ++stats.watchdog_violations;
   }
   return AcquireResult{granted, entry.account.balance(), granted > banked};
 }
@@ -322,7 +314,7 @@ AcquireResult AccountTable::acquire(NamespaceId ns, std::uint64_t key,
   ShardGuard lock(*this, shard);
   // Read the clock only while holding the shard lock: lock ordering plus
   // atomic read coherence then guarantee non-decreasing times per account,
-  // which settle()'s bookkeeping and the auditor's record() rely on.
+  // which settle()'s bookkeeping and the watchdog's record() rely on.
   const TimeUs now = clock_.now_us();
   const std::int64_t tick = now / nsp->config.delta_us;
   return acquire_locked(shard, nsp, key, n, tick, now);
@@ -361,12 +353,9 @@ RefundResult AccountTable::refund(NamespaceId ns, std::uint64_t key,
       std::max<Tokens>(entry.ns->capacity - entry.account.balance(), 0);
   const Tokens accepted = entry.account.refund_spend(std::min(n, headroom));
   mark_repl_dirty(shard, ns, key, entry);
-  if (entry.auditor) {
-    // The returned tokens' admissions never happened: strike them from the
-    // audit trace so first_violation() checks *net* admissions. accepted
-    // <= outstanding spends == recorded sends, so retract cannot underflow.
-    entry.auditor->retract(static_cast<std::size_t>(accepted));
-  }
+  // The returned tokens' admissions never happened: strike them from the
+  // watchdog's trace so it checks *net* admissions. accepted <= C - balance,
+  // which is what keeps every retract within the watchdog's history.
   if (entry.watchdog) entry.watchdog->retract(accepted);
   stats.tokens_refunded += static_cast<std::uint64_t>(accepted);
   stats.tokens_refund_dropped += static_cast<std::uint64_t>(n - accepted);
@@ -499,16 +488,10 @@ bool AccountTable::install_account(NamespaceId ns, std::uint64_t key,
                                  /*allow_overdraft=*/false,
                                  core::RoundingMode::kRandomized,
                                  nsp->bucket_cap),
-              nsp, tick, now, nullptr, 0, 0, 0, false, nullptr};
-  if (nsp->config.audit) {
+              nsp, tick, now, 0, 0, 0, false, nullptr};
+  if (watchdog_samples(config_.watchdog_sample, nsp->config.audit, ns, key)) {
     // The trace restarts empty: the installed balance is at most C, so
     // spending it all at once still fits the fresh window's 1 + C slack.
-    entry.auditor = std::make_unique<core::RateLimitAuditor>(
-        nsp->config.delta_us, nsp->capacity);
-  }
-  if (watchdog_samples(config_.watchdog_sample, ns, key)) {
-    // Same empty-trace argument as the auditor above: the installed bank
-    // fits the first window's 1 + C slack, so the watchdog restarts clean.
     entry.watchdog = std::make_unique<core::BurstWatchdog>(
         nsp->config.delta_us, nsp->capacity);
   }
@@ -634,21 +617,6 @@ TableStats AccountTable::stats(NamespaceId ns) const {
     }
   }
   return out;
-}
-
-std::optional<std::string> AccountTable::audit_violation() const {
-  for (const auto& shard : shards_) {
-    ShardGuard lock(*this, *shard);
-    for (const auto& [key, entry] : shard->accounts) {
-      if (!entry.auditor) continue;
-      if (auto v = entry.auditor->first_violation()) {
-        std::ostringstream os;
-        os << "ns=" << key.ns << " key=" << key.key << ": " << v->describe();
-        return os.str();
-      }
-    }
-  }
-  return std::nullopt;
 }
 
 ClockDriver::ClockDriver(AccountTable& table, TimeUs resolution_us)

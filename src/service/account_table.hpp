@@ -102,9 +102,9 @@ struct NamespaceConfig {
   /// cap are forfeited — conservative, an idle account's balance has
   /// converged to the capacity region long before the cap anyway.
   Tokens max_catchup_ticks = 0;
-  /// Debug: attach a core::RateLimitAuditor to every account and record
-  /// each granted token, so audit_violation() can verify the §3.4 burst
-  /// bound end-to-end. O(sends²) memory/time per account — tests only.
+  /// Check every account of the namespace with the §3.4 watchdog, not
+  /// just the 1-in-ServiceConfig::watchdog_sample keys: O(1) per grant,
+  /// at most 2(C+1) grant records per account.
   bool audit = false;
 
   friend bool operator==(const NamespaceConfig&,
@@ -131,7 +131,7 @@ struct ServiceConfig {
   std::uint64_t seed = 1;
   /// Default namespace: replay cap for lazy granting (0 = auto).
   Tokens max_catchup_ticks = 0;
-  /// Default namespace: §3.4 audit switch (tests only).
+  /// Default namespace: watchdog every key (NamespaceConfig::audit).
   bool audit = false;
   /// Shard-per-thread mode: every shard has exactly one accessor by
   /// construction (its owner worker in a service::ShardEngine, or an admin
@@ -142,8 +142,9 @@ struct ServiceConfig {
   /// semantics are byte-identical.
   bool exclusive_shards = false;
 
-  /// Online §3.4 invariant watchdog: audit 1-in-N keys with a bounded-ring
-  /// BurstWatchdog re-checked on every grant (0 disables). Sampling is by
+  /// Online §3.4 invariant watchdog: audit 1-in-N keys with an exact
+  /// core::BurstWatchdog checked on every grant (0 disables; a namespace's
+  /// audit switch checks all of its keys regardless). Sampling is by
   /// key identity (a distinct hash salt from shard placement, so sampled
   /// keys spread across shards), which keeps a key's audit trace intact
   /// for its whole life instead of sampling individual grants. The
@@ -202,8 +203,8 @@ struct TableStats {
   std::uint64_t ticks_forfeited = 0;    ///< elapsed ticks past the replay cap
   std::uint64_t accounts_extracted = 0; ///< removed by extract_if (handoff)
   std::uint64_t accounts_installed = 0; ///< created by install_account
-  std::uint64_t watchdog_checks = 0;     ///< §3.4 windows audited online
-  std::uint64_t watchdog_violations = 0; ///< windows over the §3.4 bound
+  std::uint64_t watchdog_checks = 0;     ///< grants audited online (§3.4)
+  std::uint64_t watchdog_violations = 0; ///< grants over the §3.4 bound
 
   /// Adds every counter of `other` into this snapshot.
   void merge(const TableStats& other);
@@ -403,12 +404,6 @@ class AccountTable {
   /// share denominator.
   std::vector<HotKey> hot_keys(std::size_t n) const;
 
-  /// When a namespace's audit switch is on: checks every live account's
-  /// grant trace against the §3.4 bound; returns the first violation
-  /// description ("ns=... key=... : ...") or nullopt. Exhaustive —
-  /// test-sized tables only.
-  std::optional<std::string> audit_violation() const;
-
   /// Folds the namespace into the key — the one mixing rule behind the
   /// shard index, the per-shard hash *and* the cluster HashRing's key
   /// points, so the three can never diverge.
@@ -453,7 +448,6 @@ class AccountTable {
     std::shared_ptr<const Namespace> ns;  ///< keeps the strategy alive
     std::int64_t last_tick = 0;           ///< tick index last settled at
     TimeUs last_access_us = 0;            ///< for TTL eviction
-    std::unique_ptr<core::RateLimitAuditor> auditor;
     // Replication state (unused until enable_replication; declared after
     // the original members so positional Entry construction stays valid).
     // The spend gate: the highest floor that a promoted follower might
@@ -463,9 +457,9 @@ class AccountTable {
     Tokens repl_sent_floor = 0;         ///< floor of the last emitted delta
     std::uint64_t repl_floor_seq = 0;   ///< emission round it travelled in
     bool repl_dirty = false;            ///< queued in Shard::repl_dirty?
-    /// Online §3.4 auditor, present only on watchdog-sampled keys (see
-    /// ServiceConfig::watchdog_sample). Guarded by the shard lock like
-    /// everything else in the entry.
+    /// Online §3.4 checker, present only on watchdog-sampled keys (see
+    /// ServiceConfig::watchdog_sample and NamespaceConfig::audit). Guarded
+    /// by the shard lock like everything else in the entry.
     std::unique_ptr<core::BurstWatchdog> watchdog;
   };
 

@@ -131,8 +131,9 @@ void Server::register_metrics() {
     return static_cast<double>(swept_stats().accounts_evicted);
   });
   // The online §3.4 watchdog (ServiceConfig::watchdog_sample): checks is
-  // how many send-anchored windows the sampled keys re-verified; any
-  // nonzero violations means a *real* burst-bound breach reached a client.
+  // how many of the sampled keys' grants were verified against every
+  // window ending at them; any nonzero violations means a *real*
+  // burst-bound breach reached a client.
   registry_->counter_fn(add("tokend_invariant_checks"), [this] {
     return static_cast<double>(swept_stats().watchdog_checks);
   });

@@ -77,9 +77,9 @@ struct ServerOptions {
   /// wait for follower acks. 0 = auto, half the namespace capacity. Smaller
   /// = tighter crash-forfeit bound, earlier burst throttling.
   Tokens replication_headroom = 0;
-  /// Cluster replication only, locked plane only: flush replica deltas to
-  /// followers every N owned data ops instead of after every request (the
-  /// engine plane always flushes at worker drain boundaries). Coalescing
+  /// Cluster replication only: flush replica deltas to followers every N
+  /// owned data ops instead of after every request (a ClusterServer runs
+  /// the locked plane only; it rejects `engine`). Coalescing
   /// keeps the delta stream off the per-request frame path; everything
   /// deferred is replication lag a failover may forfeit. 1 = flush per
   /// request (the tight-bound setting the churn tests pin).

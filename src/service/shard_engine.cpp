@@ -20,8 +20,7 @@ thread_local ShardEngine* tls_worker_engine = nullptr;
 ShardEngine::ShardEngine(AccountTable& table, ShardEngineOptions options)
     : table_(&table),
       registry_(options.registry),
-      tracer_(options.tracer),
-      on_drain_(std::move(options.on_drain)) {
+      tracer_(options.tracer) {
   TOKA_CHECK_MSG(table.config().exclusive_shards,
                  "ShardEngine requires a table built with "
                  "ServiceConfig::exclusive_shards (the engine owns the "
@@ -237,10 +236,6 @@ void ShardEngine::worker_loop(std::size_t w) {
       }
     }
     execute(ops, run, t_pop_us);
-    // Drain boundary: completions for the whole batch have fired, this
-    // worker's shards are between batches — the granularity at which the
-    // replication layer captures per-account deltas (one flush per drain).
-    if (on_drain_) on_drain_(w);
     maybe_evict(me, w);
   }
   tls_worker_engine = nullptr;

@@ -29,7 +29,6 @@
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -123,12 +122,6 @@ struct ShardEngineOptions {
   /// When set, traced ops get queue-wait and execute spans recorded on the
   /// worker (with the §3.4 decision: bank / fresh / denied / refund).
   obs::Tracer* tracer = nullptr;
-  /// Drain-boundary hook: runs on worker `w` after each non-empty drain
-  /// batch has executed (and its completions have fired). The cluster
-  /// replication layer hangs its delta capture here — one flush per batch,
-  /// not one per op. The callback runs on the worker thread and may touch
-  /// exactly that worker's shards.
-  std::function<void(std::size_t w)> on_drain;
 };
 
 class ShardEngine {
@@ -193,14 +186,6 @@ class ShardEngine {
   /// completed. Producers must have stopped submitting first.
   void drain();
 
-  /// Installs (or clears) the drain-boundary hook after construction —
-  /// the cluster layer is built around a running engine. Safe while the
-  /// workers run: the swap happens under quiesced(), so no worker can be
-  /// mid-drain when the callback changes.
-  void set_drain_hook(std::function<void(std::size_t w)> hook) {
-    quiesced([&] { on_drain_ = std::move(hook); });
-  }
-
   /// Approximate depth of worker `w`'s op queue.
   std::size_t queue_depth(std::size_t w) const {
     return workers_[w]->queue.size();
@@ -249,7 +234,6 @@ class ShardEngine {
   std::vector<std::unique_ptr<Worker>> workers_;
   obs::Registry* registry_ = nullptr;
   obs::Tracer* tracer_ = nullptr;
-  std::function<void(std::size_t)> on_drain_;
   std::vector<std::string> metric_names_;
 
   std::atomic<bool> stop_{false};

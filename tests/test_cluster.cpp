@@ -20,6 +20,7 @@
 #include "service/client.hpp"
 #include "service/protocol.hpp"
 #include "service/server.hpp"
+#include "service/shard_engine.hpp"
 #include "util/error.hpp"
 
 namespace toka::cluster {
@@ -348,6 +349,24 @@ TEST(ClusterServer, PlainServerAnswersClusterOpsUnsupported) {
     EXPECT_EQ(error.code(), proto::ErrorCode::kUnsupported);
   }
   net.stop();
+}
+
+TEST(ClusterServer, RejectsShardEngine) {
+  // The cluster layer flushes replica deltas right after a request
+  // executes, which a queued engine op has not: only the locked plane runs.
+  service::ServiceConfig cfg = node_config(2, 8, 1000);
+  cfg.exclusive_shards = true;
+  service::AccountTable table(cfg);
+  service::ShardEngineOptions engine_options;
+  engine_options.workers = 1;
+  service::ShardEngine engine(table, engine_options);
+  runtime::InProcNetwork net(1);
+  service::ServerOptions options;
+  options.engine = &engine;
+  const ClusterMap map{1, kDefaultVnodes, {0}};
+  EXPECT_THROW(
+      { ClusterServer server(table, net.endpoint(0), map, options); },
+      util::InvariantError);
 }
 
 TEST(ClusterServer, ApplyMapHandsAccountsOffWithoutDuplication) {

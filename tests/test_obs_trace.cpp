@@ -302,6 +302,10 @@ TEST(ScrapeServer, TracesScrapeWhileServing) {
     const std::string resp = http_get(scrape.port(), "/traces");
     EXPECT_NE(resp.find("\"spans\":["), std::string::npos);
   }
+  // On a loaded host the scrapes can all finish before the load thread's
+  // first request does; give it up to 2 s to record something.
+  for (int i = 0; i < 2000 && tracer.recorded() == 0; ++i)
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
   stop.store(true);
   load.join();
   net.stop();

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "core/account.hpp"
@@ -211,7 +212,7 @@ TEST(RateLimitAuditor, SimulatorRunObeysBurstBoundPerNode) {
 
 TEST(BurstWatchdog, PeriodicGrantsCheckCleanly) {
   BurstWatchdog wd(kDelta, 3);
-  for (int i = 0; i < 50; ++i) EXPECT_EQ(wd.record(i * kDelta, 1), 0u);
+  for (int i = 0; i < 50; ++i) EXPECT_FALSE(wd.record(i * kDelta, 1));
   EXPECT_GT(wd.checks(), 0u);
   EXPECT_EQ(wd.violations(), 0u);
 }
@@ -220,11 +221,11 @@ TEST(BurstWatchdog, InstantBurstLegalUpToCapacityPlusOne) {
   // A single-instant window [t, t] bounds grants at 0/Δ + 1 + C.
   constexpr Tokens kCap = 5;
   BurstWatchdog ok(kDelta, kCap);
-  EXPECT_EQ(ok.record(1000, kCap + 1), 0u);
+  EXPECT_FALSE(ok.record(1000, kCap + 1));
   EXPECT_EQ(ok.violations(), 0u);
 
   BurstWatchdog bad(kDelta, kCap);
-  EXPECT_EQ(bad.record(1000, kCap + 2), 1u);
+  EXPECT_TRUE(bad.record(1000, kCap + 2));
   EXPECT_EQ(bad.violations(), 1u);
 }
 
@@ -236,36 +237,55 @@ TEST(BurstWatchdog, SustainedOverRateViolatesWideWindows) {
   EXPECT_GT(wd.violations(), 0u);
 }
 
-TEST(BurstWatchdog, ChecksScaleWithRetainedTimestamps) {
-  // Every record() sweeps all retained send-anchored windows, so the
-  // check counter grows ~quadratically until the ring caps retention.
-  BurstWatchdog wd(kDelta, 0, /*window=*/4);
+TEST(BurstWatchdog, CatchesSlowLeakBeyondAnyFixedWindow) {
+  // 1.1 grants per Δ against C = 10: no window shorter than ~110 sends
+  // breaks the bound, so only a checker that sees the whole history can
+  // flag the leak. The exhaustive auditor pins the ground truth.
+  constexpr TimeUs kPeriod = 100'000;
+  constexpr Tokens kCap = 10;
+  BurstWatchdog wd(kPeriod, kCap);
+  RateLimitAuditor auditor(kPeriod, kCap);
+  for (TimeUs k = 1; k <= 400; ++k) {
+    const TimeUs t = k * kPeriod * 10 / 11;
+    wd.record(t, 1);
+    auditor.record(t);
+  }
+  EXPECT_TRUE(auditor.first_violation().has_value());
+  EXPECT_GT(wd.violations(), 0u);
+}
+
+TEST(BurstWatchdog, OneCheckPerGrant) {
+  // A check covers every window ending at the grant at once, so the
+  // counter advances by one per recorded grant (n > 0) and not at all for
+  // empty grants or retracts.
+  BurstWatchdog wd(kDelta, 0);
   for (int i = 0; i < 10; ++i) wd.record(i * kDelta, 1);
-  // First 4 records check 1+2+3+4 windows; the remaining 6 check 4 each.
-  EXPECT_EQ(wd.checks(), 1u + 2u + 3u + 4u + 6u * 4u);
+  wd.record(10 * kDelta, 0);
+  wd.retract(1);
+  EXPECT_EQ(wd.checks(), 10u);
   EXPECT_EQ(wd.violations(), 0u);
 }
 
 TEST(BurstWatchdog, RetractForgivesTheRefundedGrants) {
   constexpr Tokens kCap = 2;
   BurstWatchdog wd(kDelta, kCap);
-  EXPECT_EQ(wd.record(1000, kCap + 1), 0u);  // at the single-instant bound
+  EXPECT_FALSE(wd.record(1000, kCap + 1));  // at the single-instant bound
   wd.retract(2);  // refund: those grants never counted
   // Re-granting what was refunded stays within the same window's bound.
-  EXPECT_EQ(wd.record(1000, 2), 0u);
+  EXPECT_FALSE(wd.record(1000, 2));
   EXPECT_EQ(wd.violations(), 0u);
   // Without the retract the identical extra grant violates.
   BurstWatchdog unforgiven(kDelta, kCap);
   unforgiven.record(1000, kCap + 1);
-  EXPECT_EQ(unforgiven.record(1000, 2), 1u);
+  EXPECT_TRUE(unforgiven.record(1000, 2));
 }
 
 TEST(BurstWatchdog, SameInstantGrantsCoalesceIntoOneSlot) {
-  // C grants at one instant must cost one ring slot, not C: a tiny ring
-  // still audits the whole burst window.
-  BurstWatchdog wd(kDelta, 4, /*window=*/2);
-  for (int i = 0; i < 5; ++i) EXPECT_EQ(wd.record(1000, 1), 0u);
-  EXPECT_EQ(wd.record(1000, 1), 1u);  // 6th grant at [t,t]: over 1 + C
+  // C grants at one instant share one record, so the burst window is
+  // audited as a whole.
+  BurstWatchdog wd(kDelta, 4);
+  for (int i = 0; i < 5; ++i) EXPECT_FALSE(wd.record(1000, 1));
+  EXPECT_TRUE(wd.record(1000, 1));  // 6th grant at [t,t]: over 1 + C
 }
 
 TEST(BurstWatchdog, NonMonotoneTimestampsClampForward) {
@@ -273,13 +293,79 @@ TEST(BurstWatchdog, NonMonotoneTimestampsClampForward) {
   // retained timestamp instead of corrupting window arithmetic.
   BurstWatchdog wd(kDelta, 1);
   wd.record(5 * kDelta, 1);
-  EXPECT_EQ(wd.record(3 * kDelta, 1), 0u);  // coalesces at t = 5Δ
-  EXPECT_EQ(wd.record(3 * kDelta, 1), 1u);  // third same-instant grant
+  EXPECT_FALSE(wd.record(3 * kDelta, 1));  // coalesces at t = 5Δ
+  EXPECT_TRUE(wd.record(3 * kDelta, 1));   // third same-instant grant
+}
+
+TEST(BurstWatchdog, HugePolicyValuesStayExact) {
+  // (1 + C)·Δ = 2^70 here: the anchor arithmetic must not overflow.
+  constexpr TimeUs kHugeDelta = TimeUs{1} << 40;
+  constexpr Tokens kHugeCap = Tokens{1} << 30;
+  BurstWatchdog wd(kHugeDelta, kHugeCap);
+  EXPECT_FALSE(wd.record(kHugeDelta, kHugeCap + 1));  // at the bound
+  EXPECT_TRUE(wd.record(kHugeDelta, 1));              // one past it
+  EXPECT_FALSE(wd.record(3 * kHugeDelta, 1));  // two periods later: legal
 }
 
 TEST(BurstWatchdog, RejectsBadConstruction) {
   EXPECT_THROW(BurstWatchdog(0, 1), util::InvariantError);
   EXPECT_THROW(BurstWatchdog(kDelta, -1), util::InvariantError);
+}
+
+// The watchdog against the exhaustive auditor on random traces: after
+// every grant it must flag exactly when some window ending at the newest
+// send exceeds the bound. Traces follow the service's refund discipline —
+// a modelled balance in [0, C] refills one token per Δ, grants may
+// overdraw it (that is how violations arise), and a refund retracts at
+// most C - balance of the outstanding grants — so retracts stay within
+// the newest C + 1 records the watchdog keeps.
+TEST(BurstWatchdog, MatchesAuditorOnRandomTraces) {
+  util::Rng rng(20260419);
+  std::uint64_t grants = 0;
+  std::uint64_t flagged = 0;
+  for (const TimeUs delta : {1, 2, 3, 5}) {
+    for (const Tokens cap : {0, 1, 2, 3, 7}) {
+      for (int trace = 0; trace < 20; ++trace) {
+        BurstWatchdog wd(delta, cap);
+        RateLimitAuditor auditor(delta, cap);
+        TimeUs t = 0;
+        Tokens balance = cap;
+        for (int step = 0; step < 300; ++step) {
+          if (rng.bernoulli(0.5)) {
+            const TimeUs dt = rng.range(0, 2 * delta);
+            balance = std::min<Tokens>(
+                cap, balance + (t + dt) / delta - t / delta);
+            t += dt;
+          }
+          if (rng.bernoulli(0.2) && auditor.send_count() > 0) {
+            const Tokens r = std::min<Tokens>(
+                rng.range(0, cap - balance),
+                static_cast<Tokens>(auditor.send_count()));
+            wd.retract(r);
+            auditor.retract(static_cast<std::size_t>(r));
+            balance += r;
+            continue;
+          }
+          // Mostly legal grants out of the balance, sometimes overdrawn.
+          const Tokens n = rng.bernoulli(0.8)
+                               ? rng.range(0, balance)
+                               : rng.range(1, cap + 2);
+          if (n == 0) continue;
+          balance = std::max<Tokens>(balance - n, 0);
+          for (Tokens i = 0; i < n; ++i) auditor.record(t);
+          const bool expected = auditor.newest_violation().has_value();
+          ASSERT_EQ(wd.record(t, n), expected)
+              << "delta=" << delta << " cap=" << cap << " trace=" << trace
+              << " step=" << step << " t=" << t;
+          ++grants;
+          if (expected) ++flagged;
+        }
+      }
+    }
+  }
+  // Both verdicts must actually occur, or the comparison proves nothing.
+  EXPECT_GT(flagged, 0u);
+  EXPECT_LT(flagged, grants);
 }
 
 }  // namespace

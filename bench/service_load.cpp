@@ -1,75 +1,34 @@
-// Multi-threaded open- and closed-loop load generator for the tokend
-// service layer: 1M+ distinct keys with Zipf popularity against the sharded
-// AccountTable, measured raw (direct calls), batched, open-loop at a target
-// arrival rate, and through the wire protocol (Server/Client over the
-// in-process fabric or TCP loopback) — synchronously, and pipelined through
-// the v2 async client core.
+// Gate driver for the tokend service's CI performance gates. Every mode is
+// a closed loop over 1M+ Zipf-distributed keys, and every mode is one side
+// of a gate in kGates:
 //
-//   $ ./service_load --quick   # CI: preload,table,...,pipeline,cluster
-//   $ ./service_load --modes=table,tcp --threads=16 --seconds=5 --keys=4194304
-//   $ ./service_load --mode=pipeline --window=32 --seconds=5
-//   $ ./service_load --mode=cluster --cluster-nodes=3 --churn
+//   table          the striped-lock AccountTable, direct calls (no wire)
+//   sync           one TCP connection, one blocking acquire per round trip
+//   pipeline       the same connection with --window async acquires in flight
+//   sharded        batches straight into the ShardEngine (no wire)
+//   shardedtr      sharded with the flight recorder stamping every batch
+//   shardedwd      sharded with the §3.4 watchdog on 1 in --watchdog-sample keys
+//   cluster1       the pipelined workload against one in-process tokad node
+//   cluster        the same against --cluster-nodes nodes
+//   cluster-churn  cluster with one node killed at 40% and one joined at 70%
+//   cluster-repl   cluster-churn with replicas=1: the kill fails over by
+//                  promotion instead of an operator map push
 //
-// The paired "sync" and "pipeline" modes answer the v2 API's headline
-// question: both run single-connection closed loops over real TCP, sync
-// one blocking acquire per round trip, pipeline keeping --window async
-// acquires in flight through the completion registry. --min-pipeline-speedup
-// turns the ratio into a CI floor.
+//   $ ./service_load --quick                       # each mode once, no verdict
+//   $ ./service_load --modes=sync,pipeline --seconds=5
+//   $ ./service_load --gate --json=BENCH_service.json
 //
-// The "cluster" mode answers the scale-OUT question: the same pipelined
-// Zipf workload against one tokad node ("cluster1") and against
-// --cluster-nodes nodes ("cluster"), each node a ClusterServer on its own
-// in-process dispatcher lane (one lane ≈ one machine's serial capacity),
-// with ClusterClient routing per key. --min-cluster-speedup turns the
-// N-node-vs-1-node ratio into a CI floor, and --churn kills one node and
-// joins a fresh one mid-run (reported: errors must stay 0).
-//
-// The "sharded" and "epoll" modes answer the scale-UP question for the
-// shard-per-thread data plane. "sharded" drives batches straight into the
-// ShardEngine (bounded MPSC hand-off to shard-owner workers, vectorized
-// settle, no wire) and is compared against the striped-lock "table" mode:
-// --min-sharded-speedup turns that ratio into a CI floor on hosts with
-// enough cores for the workers not to fight the submitters. "epoll" runs
-// the full plane end to end — pipelined async clients over the
-// nonblocking EpollMesh into an engine-mode server with corked replies.
-// Both record the shard queues' depth percentiles while they run.
-//
-// The "overload" mode answers the graceful-degradation question: an
-// admission-controlled server takes a 10x flash crowd on top of a baseline
-// open loop; the excess must come back as typed kOverloaded sheds (any
-// timeout or untyped error fails the run) while the served requests' p99
-// stays near the unloaded baseline. Shed/served ratios land in the JSON
-// document, and --scrape-out=FILE captures the server's Prometheus
-// exposition at the end of the run.
-//
-// The "scenario" mode replays trace-shaped traffic against the full traced
-// plane (async clients over the epoll mesh into an engine-mode,
-// admission-controlled server with the flight recorder attached): a
-// diurnal ramp whose arrival rate follows the synthetic availability
-// trace's online fraction, a 10x flash crowd, and a thundering-herd
-// reconnect (a dead-quiet window, then every client reconnects at once
-// into a 5x burst). Served/shed/violation counts and the per-stage
-// (queue-wait / execute / cork) p99s from the trace histograms land in the
-// JSON document; --trace-out=FILE captures the flight recorder's span
-// JSON. The flash crowd must shed typed — and every shed must have left a
-// kShed span in the recorder — or the bench exits 1. A fourth, Byzantine
-// phase runs legit traffic while an adversary replays byte-identical
-// acquire frames, streams truncated bodies and refunds tokens it never
-// earned: every abuse class must draw its typed answer, and the every-key
-// §3.4 watchdog must report > 0 checks and exactly 0 violations.
-//
-// "shardedtr" is "sharded" with the flight recorder attached and every
-// batch trace-stamped (sampled 1 in --trace-sample): the pair measures the
-// recorder's overhead on the hottest no-wire path, and
-// --max-trace-overhead turns it into a CI ceiling. "shardedwd" is
-// "sharded" with the §3.4 invariant watchdog at its production sampling
-// (1 in --watchdog-sample keys); --max-watchdog-overhead is the matching
-// ceiling for the online auditor.
-//
-// Reports per-mode throughput and latency percentiles, and with --json=FILE
-// writes the BENCH_service.json document the release-bench CI job uploads
-// (stamped with --git-sha and an ISO-8601 --timestamp, self-generated when
-// not passed).
+// --gate runs the gate table instead of --modes. Each gate's two modes run
+// as kGatePairs interleaved pairs (AB, BA, AB, ...), and the gate judges
+// the median over the pairs — of the B/A ratio, of the cost 100·(1 − B/A),
+// or of B's own ops/s for a floor — and reports the IQR next to it. A
+// cluster run with a client-visible error, or a replicated run that did not
+// fail over within the forfeit bound, fails its gate whatever the median.
+// Gates that price parallel work are reported but not enforced below
+// kGateCores hardware threads, where they measure the scheduler. The exit
+// status is 1 when an enforced gate fails. --json=FILE writes every run and
+// every gate (median, IQR, samples, threshold, verdict), stamped with
+// --git-sha, the host's thread count and the UTC time.
 #include <algorithm>
 #include <array>
 #include <atomic>
@@ -77,7 +36,9 @@
 #include <cstdio>
 #include <ctime>
 #include <functional>
+#include <map>
 #include <memory>
+#include <optional>
 #include <semaphore>
 #include <sstream>
 #include <string>
@@ -89,17 +50,13 @@
 #include "cluster/cluster_server.hpp"
 #include "cluster/hash_ring.hpp"
 #include "cluster/replication.hpp"
-#include "metrics/timeseries.hpp"
-#include "obs/telemetry.hpp"
 #include "obs/trace.hpp"
-#include "runtime/epoll.hpp"
 #include "runtime/inproc.hpp"
 #include "runtime/tcp.hpp"
 #include "service/account_table.hpp"
 #include "service/client.hpp"
 #include "service/server.hpp"
 #include "service/shard_engine.hpp"
-#include "trace/synthetic.hpp"
 #include "util/cli.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
@@ -118,108 +75,73 @@ double us_between(Clock::time_point a, Clock::time_point b) {
 
 struct LatencySummary {
   std::size_t samples = 0;
-  double mean_us = 0, p50_us = 0, p90_us = 0, p99_us = 0, max_us = 0;
+  double p50_us = 0, p99_us = 0, max_us = 0;
 };
 
-LatencySummary summarize(std::vector<double> samples_us) {
+LatencySummary summarize(const std::vector<double>& samples_us) {
   LatencySummary out;
   out.samples = samples_us.size();
   if (samples_us.empty()) return out;
-  util::RunningStat stat;
-  for (double v : samples_us) stat.add(v);
-  out.mean_us = stat.mean();
-  out.max_us = stat.max();
+  out.max_us = *std::max_element(samples_us.begin(), samples_us.end());
   out.p50_us = util::quantile(samples_us, 0.50);
-  out.p90_us = util::quantile(samples_us, 0.90);
   out.p99_us = util::quantile(samples_us, 0.99);
   return out;
 }
+
+/// What the replicated churn run's failover did (cluster-repl only).
+struct ReplicationOutcome {
+  double failover_ms = 0;       ///< kill -> a victim-owned key served again
+  std::uint64_t promotions = 0; ///< accepted promote() calls, cluster-wide
+  std::uint64_t replica_installs = 0;  ///< replicas promoted into tables
+  Tokens tokens_forfeited = 0;         ///< cluster-wide at run end
+  std::uint64_t delta_frames = 0;      ///< kReplicate frames streamed
+  std::uint64_t delta_accounts = 0;    ///< account deltas they carried
+};
 
 struct ModeResult {
   std::string mode;
   std::size_t threads = 0;
   double seconds = 0;      ///< wall time of the measured phase
   std::uint64_t ops = 0;   ///< acquire ops (each batch element counts)
-  std::uint64_t calls = 0; ///< API calls / wire round trips
   std::int64_t granted = 0;
   LatencySummary latency;
-  /// Instantaneous throughput (ops/s per 100 ms bucket) over the run, for
-  /// modes that sample it; "sustained" is the worst bucket.
-  metrics::TimeSeries throughput;
-  /// Shard-engine queue depth percentiles over the run (sharded/epoll
-  /// modes): samples of the deepest worker queue, in ops — how much
-  /// hand-off buffering the load actually needed.
-  bool has_queue_depth = false;
-  LatencySummary queue_depth;
+  std::uint64_t errors = 0;  ///< client-visible errors (cluster modes)
+  std::optional<ReplicationOutcome> replication;  ///< cluster-repl only
+  std::string defect;  ///< what the run got wrong besides its speed
 
   double ops_per_sec() const { return seconds > 0 ? ops / seconds : 0; }
-
-  double sustained_ops_per_sec() const {
-    if (throughput.empty()) return 0;
-    double worst = throughput[0].value;
-    for (std::size_t i = 1; i < throughput.size(); ++i)
-      worst = std::min(worst, throughput[i].value);
-    return worst;
-  }
 };
 
-/// Padded so neighbouring threads' counters (read by the throughput
-/// sampler while workers run) never share a cache line.
+/// Padded so neighbouring threads' tallies never share a cache line. `ops`
+/// is atomic because cluster completions land on several lanes at once.
 struct alignas(64) PerThread {
   std::atomic<std::uint64_t> ops{0};
-  std::uint64_t calls = 0;
   std::int64_t granted = 0;
   std::vector<double> lat_us;
 };
 
-/// Runs `body(thread_index, tally)` on `threads` OS threads and merges;
-/// meanwhile a sampler thread on the side records instantaneous throughput
-/// into the result's TimeSeries every 100 ms.
+/// Runs `body(thread_index, tally)` on `threads` OS threads and merges.
 ModeResult run_threads(const std::string& mode, std::size_t threads,
                        const std::function<void(std::size_t, PerThread&)>& body) {
   std::vector<PerThread> tallies(threads);
-  std::atomic<bool> done{false};
-  metrics::TimeSeries throughput;
   const auto start = Clock::now();
-  std::thread sampler([&] {
-    std::uint64_t prev_total = 0;
-    auto prev_time = start;
-    while (!done.load(std::memory_order_relaxed)) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(100));
-      std::uint64_t total = 0;
-      for (const PerThread& tally : tallies)
-        total += tally.ops.load(std::memory_order_relaxed);
-      const auto now = Clock::now();
-      const double dt_s = us_between(prev_time, now) / 1e6;
-      if (dt_s <= 0) continue;
-      throughput.add(static_cast<TimeUs>(us_between(start, now)),
-                     static_cast<double>(total - prev_total) / dt_s);
-      prev_total = total;
-      prev_time = now;
-    }
-  });
   std::vector<std::thread> workers;
   workers.reserve(threads);
   for (std::size_t t = 0; t < threads; ++t)
     workers.emplace_back([&, t] { body(t, tallies[t]); });
   for (auto& w : workers) w.join();
-  const auto stop = Clock::now();
-  done.store(true);
-  sampler.join();
 
   ModeResult res;
   res.mode = mode;
   res.threads = threads;
-  res.seconds = us_between(start, stop) / 1e6;
-  res.throughput = std::move(throughput);
+  res.seconds = us_between(start, Clock::now()) / 1e6;
   std::vector<double> all_lat;
   for (PerThread& tally : tallies) {
     res.ops += tally.ops.load();
-    res.calls += tally.calls;
     res.granted += tally.granted;
     all_lat.insert(all_lat.end(), tally.lat_us.begin(), tally.lat_us.end());
   }
-  res.latency = summarize(std::move(all_lat));
+  res.latency = summarize(all_lat);
   return res;
 }
 
@@ -228,75 +150,31 @@ struct LoadConfig {
   std::uint64_t keys = 0;
   double zipf = 0;
   double seconds = 0;
-  std::size_t batch = 0;
-  double open_rate = 0;   ///< total target ops/s for open-loop modes
-  std::size_t window = 0; ///< in-flight cap per connection (pipeline mode)
-  std::size_t cluster_nodes = 0;  ///< tokad members for the cluster mode
-  bool churn = false;             ///< kill+join mid-run in the cluster mode
-  std::uint32_t replicas = 0;     ///< replication factor for the churn run
-  std::size_t workers = 0;     ///< shard-owner workers (0 = one per core)
-  std::size_t io_threads = 1;  ///< epoll event loops per endpoint
-  std::uint64_t trace_sample = 128;  ///< flight recorder: sample 1 in N
+  std::size_t batch = 0;          ///< ops per sharded-mode batch
+  std::size_t window = 0;         ///< in-flight cap per pipelined connection
+  std::size_t cluster_nodes = 0;  ///< tokad members of the cluster modes
+  std::size_t workers = 0;        ///< shard-owner workers (0 = one per core)
+  std::uint64_t trace_sample = 128;    ///< flight recorder: sample 1 in N
   std::uint64_t watchdog_sample = 64;  ///< §3.4 watchdog: audit 1 in N keys
-  std::string git_sha;    ///< stamped into the JSON (bench_snapshot passes it)
-  std::string timestamp;  ///< ISO-8601 run time, same provenance trail
 };
 
-/// Samples the engine's deepest worker queue every 2 ms while a mode runs;
-/// stop() turns the samples into the percentiles the JSON reports.
-class QueueDepthSampler {
- public:
-  explicit QueueDepthSampler(const service::ShardEngine& engine)
-      : thread_([this, &engine] {
-          while (!done_.load(std::memory_order_relaxed)) {
-            samples_.push_back(static_cast<double>(engine.queue_depth_max()));
-            std::this_thread::sleep_for(std::chrono::milliseconds(2));
-          }
-        }) {}
-
-  ~QueueDepthSampler() {
-    if (thread_.joinable()) {
-      done_.store(true);
-      thread_.join();
-    }
+/// Creates every key once, single-threaded, so a timed run never pays the
+/// inserts and the store is fully populated.
+void preload(service::AccountTable& table, std::uint64_t keys) {
+  constexpr std::size_t kChunk = 4096;
+  std::vector<service::AcquireOp> ops;
+  ops.reserve(kChunk);
+  for (std::uint64_t key = 0; key < keys; key += kChunk) {
+    ops.clear();
+    const std::uint64_t end = std::min<std::uint64_t>(key + kChunk, keys);
+    for (std::uint64_t k = key; k < end; ++k)
+      ops.push_back(service::AcquireOp{k, 0});
+    table.acquire_batch(ops);
   }
-
-  LatencySummary stop() {
-    done_.store(true);
-    thread_.join();
-    return summarize(std::move(samples_));
-  }
-
- private:
-  std::atomic<bool> done_{false};
-  std::vector<double> samples_;
-  std::thread thread_;
-};
-
-/// Preload: batch-create every key once so the timed phases run against a
-/// fully populated store (and so "distinct keys served" covers the whole
-/// keyspace). Reported as its own mode: creation throughput matters too.
-ModeResult run_preload(service::AccountTable& table, const LoadConfig& load) {
-  return run_threads("preload", load.threads, [&](std::size_t t, PerThread& tally) {
-    constexpr std::size_t kChunk = 4096;
-    std::vector<service::AcquireOp> ops;
-    ops.reserve(kChunk);
-    for (std::uint64_t key = t * kChunk; key < load.keys;
-         key += load.threads * kChunk) {
-      ops.clear();
-      const std::uint64_t end = std::min<std::uint64_t>(key + kChunk, load.keys);
-      for (std::uint64_t k = key; k < end; ++k)
-        ops.push_back(service::AcquireOp{k, 0});
-      table.acquire_batch(ops);
-      tally.ops += ops.size();
-      ++tally.calls;
-    }
-  });
 }
 
-ModeResult run_table_closed(service::AccountTable& table,
-                            const util::ZipfSampler& sampler,
-                            const LoadConfig& load) {
+ModeResult run_table(service::AccountTable& table,
+                     const util::ZipfSampler& sampler, const LoadConfig& load) {
   const auto deadline =
       Clock::now() + std::chrono::microseconds(from_seconds(load.seconds));
   return run_threads("table", load.threads, [&](std::size_t t, PerThread& tally) {
@@ -312,60 +190,8 @@ ModeResult run_table_closed(service::AccountTable& table,
         tally.granted += table.acquire(key, 1).granted;
       }
       ++tally.ops;
-      ++tally.calls;
     }
   });
-}
-
-ModeResult run_table_batched(service::AccountTable& table,
-                             const util::ZipfSampler& sampler,
-                             const LoadConfig& load) {
-  const auto deadline =
-      Clock::now() + std::chrono::microseconds(from_seconds(load.seconds));
-  return run_threads("batch", load.threads, [&](std::size_t t, PerThread& tally) {
-    util::Rng rng(2000 + t);
-    std::vector<service::AcquireOp> ops(load.batch);
-    while (Clock::now() < deadline) {
-      for (service::AcquireOp& op : ops)
-        op = service::AcquireOp{sampler.next(rng), 1};
-      const auto t0 = Clock::now();
-      const auto results = table.acquire_batch(ops);
-      tally.lat_us.push_back(us_between(t0, Clock::now()));
-      for (const service::AcquireResult& r : results) tally.granted += r.granted;
-      tally.ops += ops.size();
-      ++tally.calls;
-    }
-  });
-}
-
-/// Open loop: arrivals on a fixed schedule; latency is measured from the
-/// *scheduled* arrival, so queueing delay when the generator falls behind is
-/// included (no coordinated omission).
-ModeResult run_table_open(service::AccountTable& table,
-                          const util::ZipfSampler& sampler,
-                          const LoadConfig& load) {
-  const double per_thread_rate = load.open_rate / load.threads;
-  const auto interval = std::chrono::nanoseconds(
-      std::max<std::int64_t>(static_cast<std::int64_t>(1e9 / per_thread_rate), 1));
-  const auto start = Clock::now();
-  const auto deadline = start + std::chrono::microseconds(from_seconds(load.seconds));
-  ModeResult res =
-      run_threads("open", load.threads, [&](std::size_t t, PerThread& tally) {
-        util::Rng rng(3000 + t);
-        auto scheduled = start + interval * static_cast<std::int64_t>(t) /
-                                     static_cast<std::int64_t>(load.threads);
-        while (scheduled < deadline) {
-          std::this_thread::sleep_until(scheduled);
-          const std::uint64_t key = sampler.next(rng);
-          tally.granted += table.acquire(key, 1).granted;
-          tally.lat_us.push_back(us_between(scheduled, Clock::now()));
-          ++tally.ops;
-          ++tally.calls;
-          scheduled += interval;
-        }
-      });
-  res.seconds = load.seconds;  // open loop is defined by its schedule
-  return res;
 }
 
 /// Closed loop straight into the shard engine: each submitter keeps a
@@ -411,7 +237,6 @@ ModeResult run_sharded(const std::string& mode, service::ShardEngine& engine,
       tally.granted += slot.granted;
       if (sample_latency) tally.lat_us.push_back(slot.lat_us);
       tally.ops.fetch_add(slot.ops.size(), std::memory_order_relaxed);
-      ++tally.calls;
     };
     for (std::uint64_t i = 0;; ++i) {
       if (Clock::now() >= deadline) break;
@@ -442,40 +267,44 @@ ModeResult run_sharded(const std::string& mode, service::ShardEngine& engine,
   });
 }
 
-/// Closed loop through the wire protocol. `make_transport(i)` yields the
-/// client endpoint for thread i; the server is already listening on node 0.
-ModeResult run_wire(const std::string& mode, const util::ZipfSampler& sampler,
-                    const LoadConfig& load,
-                    const std::function<runtime::Transport&(std::size_t)>& endpoint_of) {
-  const auto deadline =
-      Clock::now() + std::chrono::microseconds(from_seconds(load.seconds));
-  return run_threads(mode, load.threads, [&](std::size_t t, PerThread& tally) {
-    service::Client client(endpoint_of(t), 0);
-    util::Rng rng(4000 + t);
-    std::vector<service::AcquireOp> ops(load.batch);
-    while (Clock::now() < deadline) {
-      for (service::AcquireOp& op : ops)
-        op = service::AcquireOp{sampler.next(rng), 1};
-      const auto t0 = Clock::now();
-      const auto results = client.acquire_batch(ops);
-      tally.lat_us.push_back(us_between(t0, Clock::now()));
-      for (const service::AcquireResult& r : results) tally.granted += r.granted;
-      tally.ops += ops.size();
-      ++tally.calls;
-    }
-  });
+/// The shard-per-thread plane on its own table (exclusive_shards: the
+/// per-shard mutex is a no-op, workers own their shards outright).
+/// "shardedtr" adds the flight recorder and "shardedwd" the watchdog at
+/// its production sampling; plain "sharded" runs with both off, so each
+/// ratio against it isolates one feature.
+ModeResult run_sharded_mode(const std::string& mode,
+                            const service::ServiceConfig& cfg,
+                            const util::ZipfSampler& sampler,
+                            const LoadConfig& load) {
+  service::ServiceConfig sharded_cfg = cfg;
+  sharded_cfg.exclusive_shards = true;
+  sharded_cfg.watchdog_sample = mode == "shardedwd" ? load.watchdog_sample : 0;
+  service::AccountTable table(sharded_cfg);
+  // Until the workers exist the table is single-owner, so direct
+  // (single-threaded) access is legal.
+  preload(table, load.keys);
+  service::ClockDriver driver(table, 1000);
+  driver.start();
+  obs::Tracer tracer(obs::TracerOptions{.sample_every = load.trace_sample});
+  obs::Tracer* const stamp = mode == "shardedtr" ? &tracer : nullptr;
+  service::ShardEngineOptions engine_opts;
+  engine_opts.workers = load.workers;
+  engine_opts.tracer = stamp;
+  service::ShardEngine engine(table, engine_opts);
+  ModeResult res = run_sharded(mode, engine, sampler, load, stamp);
+  engine.drain();
+  driver.stop();
+  return res;
 }
 
 /// Single-connection sync closed loop (one blocking acquire per round
-/// trip): the baseline the pipeline mode's speedup — and the CI floor —
-/// is measured against.
-ModeResult run_sync(const std::string& mode, const util::ZipfSampler& sampler,
-                    const LoadConfig& load,
-                    const std::function<runtime::Transport&(std::size_t)>& endpoint_of) {
+/// trip): the baseline the pipeline mode's speedup is measured against.
+ModeResult run_sync(runtime::Transport& endpoint,
+                    const util::ZipfSampler& sampler, const LoadConfig& load) {
   const auto deadline =
       Clock::now() + std::chrono::microseconds(from_seconds(load.seconds));
-  return run_threads(mode, 1, [&](std::size_t t, PerThread& tally) {
-    service::Client client(endpoint_of(t), 0);
+  return run_threads("sync", 1, [&](std::size_t t, PerThread& tally) {
+    service::Client client(endpoint, 0);
     util::Rng rng(5000 + t);
     while (Clock::now() < deadline) {
       const std::uint64_t key = sampler.next(rng);
@@ -483,27 +312,25 @@ ModeResult run_sync(const std::string& mode, const util::ZipfSampler& sampler,
       tally.granted += client.acquire(key, 1).granted;
       tally.lat_us.push_back(us_between(t0, Clock::now()));
       tally.ops.fetch_add(1, std::memory_order_relaxed);
-      ++tally.calls;
     }
   });
 }
 
 /// Closed-loop pipelining over one async client: `window` self-sustaining
-/// op chains per connection. Each completion callback (running on the
+/// op chains on the connection. Each completion callback (running on the
 /// transport's receive thread) records its op's latency and immediately
 /// issues the chain's next acquire — so under load the whole client side
 /// (parse burst, completions, next issues) happens inside one receive
 /// burst and the issues leave as one coalesced write. Latency spans
 /// issue -> completion, including in-flight queueing.
-ModeResult run_pipeline(const std::string& mode,
+ModeResult run_pipeline(runtime::Transport& endpoint,
                         const util::ZipfSampler& sampler,
-                        const LoadConfig& load, std::size_t connections,
-                        const std::function<runtime::Transport&(std::size_t)>& endpoint_of) {
+                        const LoadConfig& load) {
   const auto deadline =
       Clock::now() + std::chrono::microseconds(from_seconds(load.seconds));
   const std::size_t window = std::max<std::size_t>(load.window, 1);
-  return run_threads(mode, connections, [&](std::size_t t, PerThread& tally) {
-    service::Client client(endpoint_of(t), 0);
+  return run_threads("pipeline", 1, [&](std::size_t t, PerThread& tally) {
+    service::Client client(endpoint, 0);
     // One RNG per chain: a chain has at most one op in flight, so its RNG
     // is only ever touched by the thread completing that op.
     std::vector<util::Rng> rngs;
@@ -528,7 +355,6 @@ ModeResult run_pipeline(const std::string& mode,
             tally.granted += res.granted;
             tally.lat_us.push_back(us_between(t0, now));
             tally.ops.fetch_add(1, std::memory_order_relaxed);
-            ++tally.calls;
             if (now >= deadline) {
               finished.release();
             } else {
@@ -543,83 +369,19 @@ ModeResult run_pipeline(const std::string& mode,
   });
 }
 
-/// Open loop through the async client: arrivals on a fixed schedule, each
-/// issued without blocking; latency runs from the *scheduled* arrival to
-/// the completion callback, so generator lag and in-flight queueing are
-/// both included (no coordinated omission).
-ModeResult run_open_async(const std::string& mode,
-                          const util::ZipfSampler& sampler,
-                          const LoadConfig& load,
-                          const std::function<runtime::Transport&(std::size_t)>& endpoint_of) {
-  const double per_thread_rate = load.open_rate / load.threads;
-  const auto interval = std::chrono::nanoseconds(
-      std::max<std::int64_t>(static_cast<std::int64_t>(1e9 / per_thread_rate), 1));
-  const auto start = Clock::now();
-  const auto deadline = start + std::chrono::microseconds(from_seconds(load.seconds));
-  ModeResult res = run_threads(mode, load.threads, [&](std::size_t t,
-                                                       PerThread& tally) {
-    service::Client client(endpoint_of(t), 0);
-    util::Rng rng(6000 + t);
-    std::counting_semaphore<> outstanding(0);
-    std::uint64_t issued = 0;
-    auto scheduled = start + interval * static_cast<std::int64_t>(t) /
-                                 static_cast<std::int64_t>(load.threads);
-    while (scheduled < deadline) {
-      std::this_thread::sleep_until(scheduled);
-      const std::uint64_t key = sampler.next(rng);
-      const auto t_sched = scheduled;
-      client.acquire_async(
-          service::kDefaultNamespace, key, 1,
-          [&tally, &outstanding, t_sched](service::AcquireResult r,
-                                          std::exception_ptr err) {
-            if (!err) {
-              tally.granted += r.granted;
-              tally.lat_us.push_back(us_between(t_sched, Clock::now()));
-              tally.ops.fetch_add(1, std::memory_order_relaxed);
-            }
-            outstanding.release();
-          });
-      ++issued;
-      ++tally.calls;
-      scheduled += interval;
-    }
-    for (std::uint64_t i = 0; i < issued; ++i) outstanding.acquire();
-  });
-  res.seconds = load.seconds;  // open loop is defined by its schedule
-  return res;
-}
-
-/// What the replicated churn run measured — the "replication" block of
-/// BENCH_service.json. Overhead is the replicated run's throughput against
-/// the unreplicated cluster run of the same invocation.
-struct ReplicationOutcome {
-  bool ran = false;
-  std::uint32_t replicas = 0;
-  double failover_ms = 0;       ///< kill -> a victim-owned key served again
-  std::uint64_t promotions = 0; ///< accepted promote() calls, cluster-wide
-  std::uint64_t replica_installs = 0;  ///< replicas promoted into tables
-  Tokens tokens_forfeited = 0;         ///< cluster-wide at run end
-  std::uint64_t delta_frames = 0;      ///< kReplicate frames streamed
-  std::uint64_t delta_accounts = 0;    ///< account deltas they carried
-  double ops_per_sec = 0;              ///< replicated churn run
-  double baseline_ops_per_sec = 0;     ///< unreplicated churn run
-  std::uint64_t errors = 0;            ///< client-visible, replicated run
-};
-
 /// The pipelined Zipf workload against a tokad cluster of `node_count`
 /// in-process nodes (each on its own dispatcher lane, so one node models
 /// one machine's serial capacity). With `churn`, the last node is killed
 /// at ~40% of the run and a fresh node joins at ~70% — the workers must
-/// absorb both through ClusterClient retries; `errors_out` reports what
-/// they could not. With `replicas` > 0 the map carries that replication
-/// factor, the kill goes through the promote() failover path instead of an
-/// operator map push, and `repl_out` (if given) collects the failover
-/// time, forfeit and delta-stream accounting.
+/// absorb both through ClusterClient retries; `errors` reports what they
+/// could not. With `replicas` > 0 the map carries that replication factor,
+/// the kill goes through the promote() failover path instead of an
+/// operator map push, and `replication` collects the failover time,
+/// forfeit and delta-stream accounting.
 ModeResult run_cluster(const std::string& mode, const util::ZipfSampler& sampler,
                        const LoadConfig& load, const service::ServiceConfig& cfg,
                        std::size_t node_count, bool churn,
-                       std::uint32_t replicas, ReplicationOutcome* repl_out,
-                       std::uint64_t& errors_out) {
+                       std::uint32_t replicas) {
   struct ClusterNode {
     service::AccountTable table;
     service::ClockDriver driver;
@@ -639,10 +401,9 @@ ModeResult run_cluster(const std::string& mode, const util::ZipfSampler& sampler
   map.replicas = replicas;
 
   // Endpoints: servers 0..slots-1, then a stride of `slots` per worker,
-  // then the coordinator's stride. Server lanes are distinct (lane =
-  // destination % lanes and lanes >= slots), so nodes parallelize.
-  // Endpoint strides: one per worker, one for the churn admin, one spare
-  // for the failover probe client (replicated churn only).
+  // then one stride for the churn admin and one for the failover probe
+  // client. Server lanes are distinct (lane = destination % lanes and
+  // lanes >= slots), so nodes parallelize.
   runtime::InProcNetwork net(
       slots + (load.threads + 2) * slots, /*latency_us=*/0,
       /*dispatchers=*/slots + std::min<std::size_t>(load.threads, 8));
@@ -776,7 +537,6 @@ ModeResult run_cluster(const std::string& mode, const util::ZipfSampler& sampler
     for (std::size_t s = 0; s < window; ++s) finished->acquire();
     for (const Chain& chain : chains) {
       tally.granted += chain.granted;
-      tally.calls += chain.calls;
       tally.lat_us.insert(tally.lat_us.end(), chain.lat_us.begin(),
                           chain.lat_us.end());
     }
@@ -785,499 +545,252 @@ ModeResult run_cluster(const std::string& mode, const util::ZipfSampler& sampler
   if (churn_thread.joinable()) churn_thread.join();
   for (auto& node : nodes) node->driver.stop();
   net.stop();
-  errors_out = errors.load();
-  if (errors_out > 0)
-    std::fprintf(stderr, "cluster mode '%s': %llu client-visible errors\n",
-                 mode.c_str(), static_cast<unsigned long long>(errors_out));
-  if (repl_out != nullptr) {
-    repl_out->ran = true;
-    repl_out->replicas = replicas;
-    repl_out->failover_ms = failover_us.load() / 1000.0;
-    repl_out->ops_per_sec = res.ops_per_sec();
+  res.errors = errors.load();
+  if (replicas > 0) {
+    ReplicationOutcome& repl = res.replication.emplace();
+    repl.failover_ms = failover_us.load() / 1000.0;
     for (const auto& node : nodes) {
       if (node->server == nullptr) continue;  // the churn victim
-      repl_out->promotions += node->server->promotions();
-      repl_out->tokens_forfeited += node->server->tokens_forfeited();
-      const cluster::ReplicationEngine& repl = node->server->replication();
-      repl_out->replica_installs += repl.replica_installs();
-      repl_out->delta_frames += repl.deltas_sent();
-      repl_out->delta_accounts += repl.delta_accounts_sent();
+      repl.promotions += node->server->promotions();
+      repl.tokens_forfeited += node->server->tokens_forfeited();
+      const cluster::ReplicationEngine& engine = node->server->replication();
+      repl.replica_installs += engine.replica_installs();
+      repl.delta_frames += engine.deltas_sent();
+      repl.delta_accounts += engine.delta_accounts_sent();
     }
   }
   return res;
 }
 
-void print_result(const ModeResult& res);
-
-/// What the flash-crowd scenario measured (reported into BENCH_service.json
-/// and summarized on stdout).
-struct OverloadOutcome {
-  bool ran = false;
-  std::uint64_t served = 0;        ///< spike-phase successes
-  std::uint64_t shed = 0;          ///< typed kOverloaded (wire or local backoff)
-  std::uint64_t violations = 0;    ///< timeouts / untyped errors (must be 0)
-  std::uint64_t baseline_shed = 0; ///< sheds below budget (should be 0)
-  double baseline_p99_us = 0;      ///< served p99, unloaded phase
-  double p99_us = 0;               ///< served p99 under the flash crowd
-  std::string scrape_text;         ///< the server's exposition at run end
+/// Everything a mode needs besides its own stack: the shared, preloaded
+/// table the table/sync/pipeline modes hit, and the workload.
+struct Bench {
+  service::AccountTable& table;
+  const service::ServiceConfig& cfg;
+  const util::ZipfSampler& sampler;
+  const LoadConfig& load;
 };
 
-/// Flash crowd against one admission-controlled server: phase 1 runs an
-/// open loop comfortably below the budget (nothing may be shed, and its
-/// served p99 is the baseline), phase 2 multiplies the arrival rate by 10.
-/// The valve must turn the excess into typed kOverloaded rejections —
-/// counted as shed, never as errors — while the requests it does admit
-/// stay near the baseline latency.
-void run_overload(std::vector<ModeResult>& runs,
-                  const util::ZipfSampler& sampler, const LoadConfig& load,
-                  const service::ServiceConfig& cfg, double base_rate,
-                  OverloadOutcome& out) {
-  service::AccountTable table(cfg);
-  service::ClockDriver driver(table, /*resolution_us=*/1000);
-  driver.start();
-  runtime::InProcNetwork net(1 + load.threads);
-  obs::Registry registry;
-  service::ServerOptions opts;
-  opts.registry = &registry;
-  opts.admission.enabled = true;
-  opts.admission.interval_us = 10'000;
-  opts.admission.min_budget = 32;
-  // Cap the budget at ~2x the baseline arrival rate: phase 1 fits with
-  // headroom, the 10x spike cannot, so the valve has to shed.
-  opts.admission.max_budget = std::max<std::int64_t>(
-      static_cast<std::int64_t>(2.0 * base_rate *
-                                (opts.admission.interval_us / 1e6)),
-      64);
-  service::Server server(table, net.endpoint(0), opts);
-  net.start();
+/// Names every mode run_mode knows, in the order --quick runs them.
+const std::vector<std::string> kModes = {
+    "table",    "sync",    "pipeline",      "sharded",     "shardedtr",
+    "shardedwd", "cluster1", "cluster", "cluster-churn", "cluster-repl"};
 
-  const double phase_s = std::max(load.seconds / 2, 0.25);
-  std::atomic<std::uint64_t> shed{0};
-  std::atomic<std::uint64_t> violations{0};
-  const auto drive = [&](const std::string& mode, double rate) {
-    const double per_thread_rate = rate / load.threads;
-    const auto interval = std::chrono::nanoseconds(std::max<std::int64_t>(
-        static_cast<std::int64_t>(1e9 / per_thread_rate), 1));
-    const auto start = Clock::now();
-    const auto deadline = start + std::chrono::microseconds(from_seconds(phase_s));
-    ModeResult res = run_threads(mode, load.threads, [&](std::size_t t,
-                                                         PerThread& tally) {
-      service::Client client(net.endpoint(static_cast<NodeId>(1 + t)), 0);
-      util::Rng rng(8000 + t);
-      std::counting_semaphore<> outstanding(0);
-      std::uint64_t issued = 0;
-      auto scheduled = start + interval * static_cast<std::int64_t>(t) /
-                                   static_cast<std::int64_t>(load.threads);
-      while (scheduled < deadline) {
-        std::this_thread::sleep_until(scheduled);
-        const std::uint64_t key = sampler.next(rng);
-        // Latency from issue, not schedule: under overload the question is
-        // what the *admitted* requests pay, not how far the generator lags.
-        const auto t0 = Clock::now();
-        client.acquire_async(
-            service::kDefaultNamespace, key, 1,
-            [&tally, &outstanding, &shed, &violations, t0](
-                service::AcquireResult r, std::exception_ptr err) {
-              if (!err) {
-                tally.granted += r.granted;
-                tally.lat_us.push_back(us_between(t0, Clock::now()));
-                tally.ops.fetch_add(1, std::memory_order_relaxed);
-              } else {
-                try {
-                  std::rethrow_exception(err);
-                } catch (const service::protocol::OverloadedError&) {
-                  shed.fetch_add(1, std::memory_order_relaxed);
-                } catch (...) {
-                  violations.fetch_add(1, std::memory_order_relaxed);
-                }
-              }
-              outstanding.release();
-            });
-        ++issued;
-        ++tally.calls;
-        scheduled += interval;
-      }
-      for (std::uint64_t i = 0; i < issued; ++i) outstanding.acquire();
-    });
-    res.seconds = phase_s;  // open loop is defined by its schedule
-    return res;
-  };
-
-  ModeResult base = drive("overload0", base_rate);
-  out.baseline_shed = shed.exchange(0);
-  out.baseline_p99_us = base.latency.p99_us;
-  print_result(base);
-  ModeResult spike = drive("overload", base_rate * 10);
-  out.ran = true;
-  out.served = spike.ops;
-  out.shed = shed.load();
-  out.violations = violations.load();
-  out.p99_us = spike.latency.p99_us;
-  out.scrape_text = registry.render_prometheus();
-  runs.push_back(std::move(base));
-  runs.push_back(std::move(spike));
-
-  std::printf("overload: served %llu, shed %llu (%.0f%%), violations %llu, "
-              "p99 %.1fus vs baseline %.1fus%s\n",
-              static_cast<unsigned long long>(out.served),
-              static_cast<unsigned long long>(out.shed),
-              out.served + out.shed > 0
-                  ? 100.0 * out.shed / (out.served + out.shed)
-                  : 0.0,
-              static_cast<unsigned long long>(out.violations), out.p99_us,
-              out.baseline_p99_us,
-              out.baseline_shed > 0 ? "  WARN: shed below budget" : "");
-
-  net.stop();
-  driver.stop();
+/// Runs one mode on a fresh stack. Returns false for an unknown mode.
+bool run_mode(const std::string& mode, const Bench& b, ModeResult& out) {
+  const std::size_t nodes = std::max<std::size_t>(b.load.cluster_nodes, 1);
+  if (mode == "table") {
+    out = run_table(b.table, b.sampler, b.load);
+  } else if (mode == "sync" || mode == "pipeline") {
+    runtime::TcpMesh mesh(2);
+    service::Server server(b.table, mesh.endpoint(0));
+    out = mode == "sync" ? run_sync(mesh.endpoint(1), b.sampler, b.load)
+                         : run_pipeline(mesh.endpoint(1), b.sampler, b.load);
+  } else if (mode == "sharded" || mode == "shardedtr" || mode == "shardedwd") {
+    out = run_sharded_mode(mode, b.cfg, b.sampler, b.load);
+  } else if (mode == "cluster1") {
+    out = run_cluster(mode, b.sampler, b.load, b.cfg, 1, false, 0);
+  } else if (mode == "cluster") {
+    out = run_cluster(mode, b.sampler, b.load, b.cfg, nodes, false, 0);
+  } else if (mode == "cluster-churn") {
+    out = run_cluster(mode, b.sampler, b.load, b.cfg, nodes, true, 0);
+  } else if (mode == "cluster-repl") {
+    out = run_cluster(mode, b.sampler, b.load, b.cfg, nodes, true, 1);
+  } else {
+    return false;
+  }
+  return true;
 }
 
-/// One replayed traffic shape's tally (diurnal / flash / herd).
-struct ScenarioPhase {
-  std::string name;
-  std::uint64_t served = 0;
-  std::uint64_t shed = 0;
-  std::uint64_t violations = 0;
-  double p99_us = 0;  ///< served-request p99 within the phase
-};
-
-/// What the trace-replay scenario suite measured. The hard promises: zero
-/// violations anywhere, and — because sheds force-record — a flash crowd
-/// that shed must have left kShed spans in the flight recorder.
-struct ScenarioOutcome {
-  bool ran = false;
-  std::vector<ScenarioPhase> phases;
-  std::uint64_t served = 0;
-  std::uint64_t shed = 0;
-  std::uint64_t violations = 0;
-  std::uint64_t flash_shed = 0;    ///< sheds in the flash-crowd phase alone
-  std::uint64_t spans = 0;         ///< spans the flight recorder kept
-  std::uint64_t shed_spans = 0;    ///< kShed-decision spans in the snapshot
-  // The Byzantine phase's tallies: every abuse class must have moved its
-  // typed counter, and none of it may have dented the §3.4 invariant.
-  std::uint64_t byz_replayed = 0;        ///< replayed frames the server answered
-  std::uint64_t byz_malformed = 0;       ///< typed kMalformedBody rejections
-  std::uint64_t byz_refund_dropped = 0;  ///< refund-abuse tokens refused
-  std::uint64_t watchdog_checks = 0;     ///< §3.4 watchdog grants audited
-  std::uint64_t watchdog_violations = 0; ///< must stay 0 through the abuse
-  double queue_wait_p99_us = 0;    ///< per-stage p99s from the trace
-  double execute_p99_us = 0;       ///< histograms (tokend_trace_*_us)
-  double cork_p99_us = 0;
-  std::string trace_json;          ///< flight-recorder spans (--trace-out)
-};
-
-/// Replays trace-shaped traffic against the full traced plane: async
-/// clients over the epoll mesh into an engine-mode, admission-controlled
-/// server with the flight recorder on both ends. Three phases:
-///
-///   diurnal — the arrival rate follows the synthetic availability trace's
-///             online fraction (the paper's two-day diurnal curve,
-///             compressed onto the phase), staying inside the admission
-///             budget: nothing should shed;
-///   flash   — baseline, then a 10x crowd through the middle third: the
-///             excess must come back as typed sheds, each force-recorded;
-///   herd    — a dead-quiet window (every client "offline"), then all of
-///             them reconnect at the same instant into a 5x burst — the
-///             accept storm and the valve's first interval take it.
-///
-/// Anything that is not a success or a typed kOverloaded is a violation.
-void run_scenario(std::vector<ModeResult>& runs,
-                  const util::ZipfSampler& sampler, const LoadConfig& load,
-                  const service::ServiceConfig& cfg, double base_rate,
-                  ScenarioOutcome& out) {
-  // Engine-mode server on its own exclusive-shards table, with the flight
-  // recorder wired through every layer the tentpole names: client stamp,
-  // epoll decode, shard queue/execute, reply cork.
-  service::ServiceConfig sharded_cfg = cfg;
-  sharded_cfg.exclusive_shards = true;
-  // Audit every key: the Byzantine phase's whole point is that replay and
-  // refund abuse cannot move the watchdog's violation counter, so the
-  // watchdog must actually be watching everything the abuse touches.
-  sharded_cfg.watchdog_sample = 1;
-  service::AccountTable table(sharded_cfg);
-  service::ClockDriver driver(table, /*resolution_us=*/1000);
-  driver.start();
-  obs::Registry registry;
-  obs::TracerOptions trace_opts;
-  trace_opts.sample_every = load.trace_sample;
-  trace_opts.registry = &registry;
-  obs::Tracer tracer(trace_opts);
-  service::ShardEngineOptions engine_opts;
-  engine_opts.workers = load.workers;
-  engine_opts.registry = &registry;
-  engine_opts.tracer = &tracer;
-  service::ShardEngine engine(table, engine_opts);
-  // Two extra endpoints past the load threads: the raw-frame adversary and
-  // the refund-abuse client of the Byzantine phase.
-  runtime::EpollMesh mesh(3 + load.threads, load.io_threads);
-  mesh.register_metrics(registry);
-  service::ServerOptions opts;
-  opts.registry = &registry;
-  opts.engine = &engine;
-  opts.tracer = &tracer;
-  opts.admission.enabled = true;
-  opts.admission.interval_us = 10'000;
-  opts.admission.min_budget = 32;
-  // Budget ~2x the baseline rate: the diurnal curve fits, the bursts don't.
-  opts.admission.max_budget = std::max<std::int64_t>(
-      static_cast<std::int64_t>(2.0 * base_rate *
-                                (opts.admission.interval_us / 1e6)),
-      64);
-  service::Server server(table, mesh.endpoint(0), opts);
-
-  // The traffic shape: the synthetic availability trace's online fraction
-  // over its two-day horizon, evaluated at phase fraction f in [0, 1].
-  util::Rng shape_rng(cfg.seed + 97);
-  const trace::SyntheticTraceConfig shape_cfg;
-  const std::vector<trace::Segment> segments =
-      trace::generate_segments(shape_cfg, 256, shape_rng);
-  const auto online_frac = [&](double f) {
-    const TimeUs t = static_cast<TimeUs>(
-        f * static_cast<double>(shape_cfg.horizon - 1));
-    std::size_t online = 0;
-    for (const trace::Segment& seg : segments)
-      if (seg.online_at(t)) ++online;
-    return static_cast<double>(online) / static_cast<double>(segments.size());
-  };
-
-  const double phase_s = std::max(load.seconds / 3, 0.5);
-  const auto drive = [&](const std::string& name,
-                         const std::function<double(double)>& rate_of,
-                         ScenarioPhase& phase) {
-    std::atomic<std::uint64_t> shed{0};
-    std::atomic<std::uint64_t> violations{0};
-    const auto start = Clock::now();
-    const auto deadline =
-        start + std::chrono::microseconds(from_seconds(phase_s));
-    ModeResult res = run_threads(name, load.threads, [&](std::size_t t,
-                                                         PerThread& tally) {
-      auto client = std::make_unique<service::Client>(
-          mesh.endpoint(static_cast<NodeId>(1 + t)), 0);
-      client->set_tracer(&tracer);
-      util::Rng rng(8500 + t);
-      std::counting_semaphore<> outstanding(0);
-      std::uint64_t issued = 0, drained = 0;
-      auto scheduled = start;
-      while (Clock::now() < deadline) {
-        const double f = std::min(
-            us_between(start, Clock::now()) / (phase_s * 1e6), 1.0);
-        const double rate = rate_of(f);
-        if (rate <= 0) {
-          // Offline stretch: retire the connection like a vanished client
-          // (the herd phase's quiet window). Outstanding completions
-          // reference the client, so drain before dropping it.
-          if (client != nullptr) {
-            for (; drained < issued; ++drained) outstanding.acquire();
-            client.reset();
-          }
-          std::this_thread::sleep_for(std::chrono::milliseconds(1));
-          scheduled = Clock::now();
-          continue;
-        }
-        if (client == nullptr) {
-          // Back online: every thread hits this edge within ~1ms of each
-          // other — the thundering-herd reconnect.
-          client = std::make_unique<service::Client>(
-              mesh.endpoint(static_cast<NodeId>(1 + t)), 0);
-          client->set_tracer(&tracer);
-        }
-        const auto interval = std::chrono::nanoseconds(std::max<std::int64_t>(
-            static_cast<std::int64_t>(1e9 * load.threads / rate), 1));
-        std::this_thread::sleep_until(scheduled);
-        const std::uint64_t key = sampler.next(rng);
-        const auto t0 = Clock::now();
-        client->acquire_async(
-            service::kDefaultNamespace, key, 1,
-            [&tally, &outstanding, &shed, &violations, t0](
-                service::AcquireResult r, std::exception_ptr err) {
-              if (!err) {
-                tally.granted += r.granted;
-                tally.lat_us.push_back(us_between(t0, Clock::now()));
-                tally.ops.fetch_add(1, std::memory_order_relaxed);
-              } else {
-                try {
-                  std::rethrow_exception(err);
-                } catch (const service::protocol::OverloadedError&) {
-                  shed.fetch_add(1, std::memory_order_relaxed);
-                } catch (...) {
-                  violations.fetch_add(1, std::memory_order_relaxed);
-                }
-              }
-              outstanding.release();
-            });
-        ++issued;
-        ++tally.calls;
-        scheduled += interval;
-        // Past a burst the generator may be far behind schedule; snap
-        // forward so the next phase fraction's rate applies now.
-        if (scheduled + std::chrono::milliseconds(50) < Clock::now())
-          scheduled = Clock::now();
-      }
-      for (; drained < issued; ++drained) outstanding.acquire();
-    });
-    res.seconds = phase_s;  // open loop is defined by its schedule
-    phase.name = name;
-    phase.served = res.ops;
-    phase.shed = shed.load();
-    phase.violations = violations.load();
-    phase.p99_us = res.latency.p99_us;
-    print_result(res);
-    runs.push_back(std::move(res));
-  };
-
-  out.phases.resize(4);
-  // Diurnal ramp: rate tracks the online fraction (roughly 0.3..0.55 over
-  // the horizon), scaled to live comfortably inside the 2x budget.
-  drive("scn-diurnal",
-        [&](double f) { return base_rate * (0.25 + 1.5 * online_frac(f)); },
-        out.phases[0]);
-  // Flash crowd: 10x through the middle third.
-  drive("scn-flash",
-        [&](double f) {
-          return f >= 1.0 / 3 && f < 2.0 / 3 ? base_rate * 10 : base_rate;
-        },
-        out.phases[1]);
-  // Thundering herd: dead air, then everyone reconnects into a 5x burst.
-  drive("scn-herd",
-        [&](double f) { return f < 0.3 ? 0.0 : base_rate * 5; },
-        out.phases[2]);
-
-  // Byzantine-ish clients: legit traffic keeps flowing at the baseline
-  // rate while an adversary (a) replays byte-identical acquire frames, (b)
-  // streams frames whose header parses but whose body does not, and (c)
-  // refunds tokens it was never granted. Every abuse class must come back
-  // as a typed answer (a normal grant/deny for the replay — the bucket,
-  // not the frame, is the authority; kMalformedBody for the garbage; a
-  // zero-accepted refund for the abuse), the legit clients must see no
-  // untyped failure, and the every-key watchdog must find the §3.4 bound
-  // intact afterwards.
-  {
-    namespace proto = service::protocol;
-    std::atomic<bool> byz_stop{false};
-    std::atomic<std::uint64_t> replay_answered{0};
-    std::atomic<std::uint64_t> malformed_rejected{0};
-    runtime::Transport& raw = mesh.endpoint(static_cast<NodeId>(
-        1 + load.threads));
-    raw.set_handler([&](NodeId, std::vector<std::byte> payload) {
-      try {
-        const proto::Response resp = proto::decode_response(payload);
-        if (const auto* err = std::get_if<proto::ErrorResponse>(&resp)) {
-          if (err->code == proto::ErrorCode::kMalformedBody)
-            malformed_rejected.fetch_add(1, std::memory_order_relaxed);
-          // kOverloaded sheds of adversary frames are neither counted nor
-          // complained about — the valve owes an attacker nothing.
-        } else {
-          replay_answered.fetch_add(1, std::memory_order_relaxed);
-        }
-      } catch (const std::exception&) {
-        // Undecodable response to a hostile frame: ignore.
-      }
-    });
-    std::thread adversary([&] {
-      service::Client refunder(
-          mesh.endpoint(static_cast<NodeId>(2 + load.threads)), 0);
-      util::Rng rng(0xB12A);
-      std::uint64_t id = 1;
-      while (!byz_stop.load(std::memory_order_relaxed)) {
-        // Replay: one legit frame, byte-identical on the wire, sent twice.
-        // The second copy is indistinguishable from a fresh request and is
-        // settled against the same token bucket — over-granting through
-        // replay is structurally impossible, which the watchdog confirms.
-        const std::uint64_t key = rng.next_u64() % 64;
-        const std::vector<std::byte> frame = proto::encode(
-            proto::AcquireRequest{id++, key, 1, service::kDefaultNamespace});
-        raw.send(0, std::vector<std::byte>(frame));
-        raw.send(0, std::vector<std::byte>(frame));
-        // Malformed: a valid header riding a truncated body.
-        std::vector<std::byte> garbage = proto::encode(
-            proto::AcquireRequest{id++, key, 1, service::kDefaultNamespace});
-        garbage.resize(std::min<std::size_t>(garbage.size(), 12));
-        raw.send(0, std::move(garbage));
-        // Refund abuse: hand back tokens that were never granted. The
-        // table accepts at most what the account's grant history covers,
-        // so accepted stays 0 and the drop counter moves.
-        try {
-          const service::RefundResult r =
-              refunder.refund(service::kDefaultNamespace, 1'000'000 + key, 8);
-          out.byz_refund_dropped += static_cast<std::uint64_t>(8 - r.accepted);
-        } catch (const std::exception&) {
-          // A shed refund is fine; the abuse tally just doesn't move.
-        }
-        std::this_thread::sleep_for(std::chrono::microseconds(500));
-      }
-    });
-    drive("scn-byzantine", [&](double) { return base_rate; }, out.phases[3]);
-    byz_stop.store(true, std::memory_order_relaxed);
-    adversary.join();
-    raw.set_handler({});
-    out.byz_replayed = replay_answered.load();
-    out.byz_malformed = malformed_rejected.load();
+/// What a run got wrong besides its speed; empty when nothing. A cluster
+/// run must see no client-visible error. A replicated run must actually
+/// fail over (a promotion that installed replicas) and forfeit at most one
+/// capacity per account that could have been mid-stream at the kill:
+/// installed replicas, the locked plane's coalescing window, and one
+/// in-flight op per client chain.
+std::string run_defect(const ModeResult& r, const Bench& b) {
+  std::ostringstream why;
+  if (r.errors > 0) why << r.errors << " client errors; ";
+  if (r.replication) {
+    const ReplicationOutcome& repl = *r.replication;
+    if (repl.promotions == 0 || repl.replica_installs == 0)
+      why << repl.promotions << " promotions, " << repl.replica_installs
+          << " installs (want a failover that installed replicas); ";
+    const std::uint64_t in_flight =
+        repl.replica_installs + service::ServerOptions{}.replication_flush_ops +
+        b.load.threads * b.load.window;
+    const std::int64_t bound = static_cast<std::int64_t>(in_flight) *
+                               (b.cfg.strategy.c_param + 1);
+    if (repl.tokens_forfeited > bound)
+      why << repl.tokens_forfeited << " tokens forfeited, above the lag bound "
+          << bound << "; ";
   }
-
-  engine.drain();
-  {
-    const service::TableStats tstats = table.stats();
-    out.watchdog_checks = tstats.watchdog_checks;
-    out.watchdog_violations = tstats.watchdog_violations;
-  }
-  for (const ScenarioPhase& phase : out.phases) {
-    out.served += phase.served;
-    out.shed += phase.shed;
-    out.violations += phase.violations;
-  }
-  out.flash_shed = out.phases[1].shed;
-  out.spans = tracer.recorded();
-  for (const obs::SpanRecord& span : tracer.snapshot())
-    if (span.decision == obs::Decision::kShed) ++out.shed_spans;
-  for (const obs::Metric& m : registry.collect()) {
-    if (m.name == "tokend_trace_queue_wait_us") out.queue_wait_p99_us = m.p99;
-    if (m.name == "tokend_trace_execute_us") out.execute_p99_us = m.p99;
-    if (m.name == "tokend_trace_cork_us") out.cork_p99_us = m.p99;
-  }
-  out.trace_json = tracer.render_json(/*max_spans=*/4096);
-  out.ran = true;
-
-  std::printf(
-      "scenario: served %llu, shed %llu, violations %llu | %llu spans "
-      "(%llu shed) | stage p99 queue %.1fus exec %.1fus cork %.1fus\n",
-      static_cast<unsigned long long>(out.served),
-      static_cast<unsigned long long>(out.shed),
-      static_cast<unsigned long long>(out.violations),
-      static_cast<unsigned long long>(out.spans),
-      static_cast<unsigned long long>(out.shed_spans), out.queue_wait_p99_us,
-      out.execute_p99_us, out.cork_p99_us);
-  std::printf(
-      "byzantine: %llu replays answered, %llu malformed rejected, %llu "
-      "refund-abuse tokens refused | watchdog %llu checks, %llu violations\n",
-      static_cast<unsigned long long>(out.byz_replayed),
-      static_cast<unsigned long long>(out.byz_malformed),
-      static_cast<unsigned long long>(out.byz_refund_dropped),
-      static_cast<unsigned long long>(out.watchdog_checks),
-      static_cast<unsigned long long>(out.watchdog_violations));
-
-  driver.stop();
+  std::string out = why.str();
+  if (!out.empty()) out.resize(out.size() - 2);
+  return out;
 }
 
 void print_result(const ModeResult& res) {
-  std::printf("%-8s %3zu thr %8.2fs %12llu ops %12.0f ops/s", res.mode.c_str(),
+  std::printf("%-13s %2zu thr %6.2fs %10llu ops %10.0f ops/s", res.mode.c_str(),
               res.threads, res.seconds,
               static_cast<unsigned long long>(res.ops), res.ops_per_sec());
   if (res.latency.samples > 0) {
     std::printf("   lat p50 %8.1fus  p99 %8.1fus  max %9.1fus",
                 res.latency.p50_us, res.latency.p99_us, res.latency.max_us);
   }
-  if (!res.throughput.empty()) {
-    std::printf("   sustained %10.0f ops/s", res.sustained_ops_per_sec());
+  if (const auto& repl = res.replication) {
+    std::printf("   failover %.1fms, %llu installs, %lld forfeited",
+                repl->failover_ms,
+                static_cast<unsigned long long>(repl->replica_installs),
+                static_cast<long long>(repl->tokens_forfeited));
   }
-  if (res.has_queue_depth) {
-    std::printf("   qdepth p50 %.0f p99 %.0f max %.0f", res.queue_depth.p50_us,
-                res.queue_depth.p99_us, res.queue_depth.max_us);
-  }
+  if (!res.defect.empty()) std::printf("   DEFECT: %s", res.defect.c_str());
   std::printf("\n");
 }
 
-/// UTC wall-clock now, ISO-8601 (the JSON stamp when --timestamp is not
-/// passed in by the harness).
+// ------------------------------------------------------------------ gates
+
+/// How a gate turns its pairs into one number.
+enum class Judge {
+  kFloor,     ///< median ops/s of `b` >= threshold
+  kSpeedup,   ///< median of b/a >= threshold
+  kOverhead,  ///< median of 100·(1 − b/a) <= threshold (percent)
+};
+
+struct Gate {
+  const char* name;
+  const char* a;  ///< the pair's reference mode
+  const char* b;  ///< the judged mode
+  Judge judge;
+  double threshold;
+  bool needs_cores;  ///< prices parallel work: enforced from kGateCores up
+};
+
+/// The CI gate table. Gates over the same two modes share their runs.
+constexpr Gate kGates[] = {
+    {"table_ops", "sharded", "table", Judge::kFloor, 100'000, false},
+    {"pipeline_vs_sync", "sync", "pipeline", Judge::kSpeedup, 1.0, false},
+    {"sharded_ops", "table", "sharded", Judge::kFloor, 250'000, true},
+    {"sharded_vs_table", "table", "sharded", Judge::kSpeedup, 1.0, true},
+    {"cluster_vs_one_node", "cluster1", "cluster", Judge::kSpeedup, 1.5, true},
+    {"trace_overhead_pct", "sharded", "shardedtr", Judge::kOverhead, 2.0, true},
+    {"watchdog_overhead_pct", "sharded", "shardedwd", Judge::kOverhead, 2.0,
+     true},
+    {"replication_overhead_pct", "cluster-churn", "cluster-repl",
+     Judge::kOverhead, 15.0, true},
+};
+constexpr std::size_t kGatePairs = 5;
+constexpr unsigned kGateCores = 4;
+
+/// Both modes' runs of one interleaved pair.
+using PairRuns = std::map<std::string, ModeResult>;
+
+struct GateOutcome {
+  const Gate* gate = nullptr;
+  std::vector<double> samples;  ///< one per pair
+  double median = 0, iqr = 0;
+  std::vector<std::string> defects;
+  bool enforced = true;
+  bool passed = true;
+
+  const char* verdict() const {
+    return !enforced ? "skip" : passed ? "pass" : "fail";
+  }
+  bool failed() const { return enforced && !passed; }
+};
+
+GateOutcome judge_gate(const Gate& gate, const std::vector<PairRuns>& pairs,
+                       unsigned cores) {
+  GateOutcome out;
+  out.gate = &gate;
+  for (const PairRuns& pair : pairs) {
+    const ModeResult& a = pair.at(gate.a);
+    const ModeResult& b = pair.at(gate.b);
+    const double ratio =
+        a.ops_per_sec() > 0 ? b.ops_per_sec() / a.ops_per_sec() : 0;
+    out.samples.push_back(gate.judge == Judge::kFloor     ? b.ops_per_sec()
+                          : gate.judge == Judge::kSpeedup ? ratio
+                                                          : 100.0 * (1 - ratio));
+    for (const ModeResult* r : {&a, &b})
+      if (!r->defect.empty()) out.defects.push_back(r->mode + ": " + r->defect);
+  }
+  out.median = util::quantile(out.samples, 0.5);
+  out.iqr =
+      util::quantile(out.samples, 0.75) - util::quantile(out.samples, 0.25);
+  const bool met = gate.judge == Judge::kOverhead
+                       ? out.median <= gate.threshold
+                       : out.median >= gate.threshold;
+  out.passed = met && out.defects.empty();
+  out.enforced = !gate.needs_cores || cores >= kGateCores;
+  return out;
+}
+
+/// Runs every distinct mode pair of the gate table as kGatePairs
+/// interleaved pairs, alternating which mode runs first, and judges each
+/// gate on the pairs of its two modes.
+std::vector<GateOutcome> run_gates(const Bench& bench,
+                                   std::vector<ModeResult>& runs,
+                                   unsigned cores) {
+  std::map<std::pair<std::string, std::string>, std::vector<PairRuns>> by_pair;
+  const auto key_of = [](const Gate& g) {
+    std::pair<std::string, std::string> key{g.a, g.b};
+    if (key.second < key.first) std::swap(key.first, key.second);
+    return key;
+  };
+  for (const Gate& gate : kGates) {
+    std::vector<PairRuns>& pairs = by_pair[key_of(gate)];
+    if (!pairs.empty()) continue;  // shared with an earlier gate
+    for (std::size_t i = 0; i < kGatePairs; ++i) {
+      PairRuns pair;
+      const bool a_first = i % 2 == 0;
+      for (const char* mode : {a_first ? gate.a : gate.b,
+                               a_first ? gate.b : gate.a}) {
+        ModeResult& r = pair[mode];
+        run_mode(mode, bench, r);
+        r.defect = run_defect(r, bench);
+        print_result(r);
+        runs.push_back(r);
+      }
+      pairs.push_back(std::move(pair));
+    }
+  }
+  std::vector<GateOutcome> outcomes;
+  for (const Gate& gate : kGates)
+    outcomes.push_back(judge_gate(gate, by_pair.at(key_of(gate)), cores));
+  return outcomes;
+}
+
+const char* judge_name(Judge judge) {
+  switch (judge) {
+    case Judge::kFloor: return "floor";
+    case Judge::kSpeedup: return "speedup";
+    case Judge::kOverhead: return "overhead_pct";
+  }
+  return "?";
+}
+
+void print_gates(const std::vector<GateOutcome>& outcomes, unsigned cores) {
+  std::printf("\n%-25s %-27s %12s %10s  %-20s verdict\n", "gate (median of "
+              "pairs)", "modes (a, b)", "median", "IQR", "threshold");
+  for (const GateOutcome& g : outcomes) {
+    const std::string modes = std::string(g.gate->a) + ", " + g.gate->b;
+    char threshold[48];
+    std::snprintf(threshold, sizeof threshold, "%s %s %g",
+                  judge_name(g.gate->judge),
+                  g.gate->judge == Judge::kOverhead ? "<=" : ">=",
+                  g.gate->threshold);
+    std::printf("%-25s %-27s %12.2f %10.2f  %-20s %s\n", g.gate->name,
+                modes.c_str(), g.median, g.iqr, threshold, g.verdict());
+    for (const std::string& d : g.defects)
+      std::printf("  DEFECT %s\n", d.c_str());
+  }
+  if (cores < kGateCores)
+    std::printf("only %u hardware threads: gates that price parallel work "
+                "are reported, not enforced (they need %u)\n",
+                cores, kGateCores);
+}
+
+/// UTC wall-clock now, ISO-8601.
 std::string iso8601_now() {
   const std::time_t now = std::time(nullptr);
   std::tm tm_utc{};
@@ -1296,212 +809,81 @@ std::string json_escape(const std::string& s) {
   return out;
 }
 
-void write_json(const std::string& path, const std::vector<ModeResult>& runs,
-                const service::AccountTable& table, const LoadConfig& load,
-                bool quick, const OverloadOutcome& overload,
-                const ScenarioOutcome& scenario,
-                const ReplicationOutcome& replication,
-                std::size_t workers_used) {
+void write_json(const std::string& path, const std::string& git_sha,
+                const Bench& b, const std::vector<ModeResult>& runs,
+                const std::vector<GateOutcome>& gates, bool gated,
+                unsigned cores) {
   std::FILE* f = std::fopen(path.c_str(), "w");
   if (f == nullptr) {
     std::fprintf(stderr, "cannot write %s\n", path.c_str());
     return;
   }
-  const service::TableStats stats = table.stats();
-  double table_ops_per_sec = 0, pipeline_ops_per_sec = 0, pipeline_p99 = 0;
-  double cluster_ops_per_sec = 0, cluster1_ops_per_sec = 0;
-  double sharded_ops_per_sec = 0, epoll_ops_per_sec = 0;
-  double shardedwd_ops_per_sec = 0;
-  for (const ModeResult& r : runs) {
-    if (r.mode == "table") table_ops_per_sec = r.ops_per_sec();
-    if (r.mode == "shardedwd") shardedwd_ops_per_sec = r.ops_per_sec();
-    if (r.mode == "pipeline") {
-      pipeline_ops_per_sec = r.ops_per_sec();
-      pipeline_p99 = r.latency.p99_us;
-    }
-    if (r.mode == "cluster") cluster_ops_per_sec = r.ops_per_sec();
-    if (r.mode == "cluster1") cluster1_ops_per_sec = r.ops_per_sec();
-    if (r.mode == "sharded") sharded_ops_per_sec = r.ops_per_sec();
-    if (r.mode == "epoll") epoll_ops_per_sec = r.ops_per_sec();
-  }
-  std::fprintf(f, "{\n");
-  std::fprintf(f, "  \"schema\": \"toka-bench-service-v2\",\n");
-  std::fprintf(f, "  \"quick\": %s,\n", quick ? "true" : "false");
-  std::fprintf(f, "  \"git_sha\": \"%s\",\n",
-               json_escape(load.git_sha.empty() ? "unknown" : load.git_sha)
-                   .c_str());
-  std::fprintf(f, "  \"timestamp\": \"%s\",\n",
-               json_escape(load.timestamp.empty() ? iso8601_now()
-                                                  : load.timestamp)
-                   .c_str());
-  std::fprintf(f, "  \"host_cpus\": %u,\n",
-               std::thread::hardware_concurrency());
-  std::fprintf(f, "  \"keys\": %llu,\n",
-               static_cast<unsigned long long>(load.keys));
-  std::fprintf(f, "  \"zipf\": %g,\n", load.zipf);
-  std::fprintf(f, "  \"threads\": %zu,\n", load.threads);
-  std::fprintf(f, "  \"batch\": %zu,\n", load.batch);
-  std::fprintf(f, "  \"strategy\": \"%s\",\n",
-               json_escape(table.config().strategy.label()).c_str());
-  std::fprintf(f, "  \"shards\": %zu,\n", table.shard_count());
-  std::fprintf(f, "  \"delta_us\": %lld,\n",
-               static_cast<long long>(table.config().delta_us));
-  std::fprintf(f, "  \"window\": %zu,\n", load.window);
-  std::fprintf(f, "  \"workers\": %zu,\n", workers_used);
-  std::fprintf(f, "  \"io_threads\": %zu,\n", load.io_threads);
-  std::fprintf(f, "  \"acquire_ops_per_sec\": %.0f,\n", table_ops_per_sec);
-  std::fprintf(f, "  \"sharded_ops_per_sec\": %.0f,\n", sharded_ops_per_sec);
-  std::fprintf(f, "  \"sharded_speedup\": %.2f,\n",
-               table_ops_per_sec > 0 ? sharded_ops_per_sec / table_ops_per_sec
-                                     : 0);
-  std::fprintf(f, "  \"shardedwd_ops_per_sec\": %.0f,\n",
-               shardedwd_ops_per_sec);
-  std::fprintf(f, "  \"watchdog_overhead\": %.4f,\n",
-               sharded_ops_per_sec > 0 && shardedwd_ops_per_sec > 0
-                   ? 1.0 - shardedwd_ops_per_sec / sharded_ops_per_sec
-                   : 0.0);
-  std::fprintf(f, "  \"epoll_ops_per_sec\": %.0f,\n", epoll_ops_per_sec);
-  std::fprintf(f, "  \"pipeline_ops_per_sec\": %.0f,\n", pipeline_ops_per_sec);
-  std::fprintf(f, "  \"pipeline_p99_us\": %.2f,\n", pipeline_p99);
-  std::fprintf(f, "  \"cluster_nodes\": %zu,\n", load.cluster_nodes);
-  std::fprintf(f, "  \"cluster_ops_per_sec\": %.0f,\n", cluster_ops_per_sec);
-  std::fprintf(f, "  \"cluster1_ops_per_sec\": %.0f,\n", cluster1_ops_per_sec);
-  std::fprintf(f, "  \"cluster_speedup\": %.2f,\n",
-               cluster1_ops_per_sec > 0
-                   ? cluster_ops_per_sec / cluster1_ops_per_sec
-                   : 0);
-  std::fprintf(f, "  \"distinct_keys_served\": %llu,\n",
-               static_cast<unsigned long long>(stats.accounts));
-  if (overload.ran) {
-    const std::uint64_t offered = overload.served + overload.shed;
-    std::fprintf(f, "  \"overload_served\": %llu,\n",
-                 static_cast<unsigned long long>(overload.served));
-    std::fprintf(f, "  \"overload_shed\": %llu,\n",
-                 static_cast<unsigned long long>(overload.shed));
-    std::fprintf(f, "  \"overload_violations\": %llu,\n",
-                 static_cast<unsigned long long>(overload.violations));
-    std::fprintf(f, "  \"overload_shed_ratio\": %.4f,\n",
-                 offered > 0 ? static_cast<double>(overload.shed) / offered
-                             : 0.0);
-    std::fprintf(f, "  \"overload_p99_us\": %.2f,\n", overload.p99_us);
-    std::fprintf(f, "  \"overload_baseline_p99_us\": %.2f,\n",
-                 overload.baseline_p99_us);
-  }
-  if (replication.ran) {
-    std::fprintf(f, "  \"replication\": {\n");
-    std::fprintf(f, "    \"replicas\": %u,\n", replication.replicas);
-    std::fprintf(f, "    \"ops_per_sec\": %.0f,\n", replication.ops_per_sec);
-    std::fprintf(f, "    \"baseline_ops_per_sec\": %.0f,\n",
-                 replication.baseline_ops_per_sec);
-    std::fprintf(f, "    \"overhead\": %.4f,\n",
-                 replication.baseline_ops_per_sec > 0
-                     ? 1.0 - replication.ops_per_sec /
-                                 replication.baseline_ops_per_sec
-                     : 0.0);
-    std::fprintf(f, "    \"failover_ms\": %.3f,\n", replication.failover_ms);
-    std::fprintf(f, "    \"promotions\": %llu,\n",
-                 static_cast<unsigned long long>(replication.promotions));
-    std::fprintf(f, "    \"replica_installs\": %llu,\n",
-                 static_cast<unsigned long long>(replication.replica_installs));
-    std::fprintf(f, "    \"tokens_forfeited\": %lld,\n",
-                 static_cast<long long>(replication.tokens_forfeited));
-    std::fprintf(f, "    \"delta_frames\": %llu,\n",
-                 static_cast<unsigned long long>(replication.delta_frames));
-    std::fprintf(f, "    \"delta_accounts\": %llu\n",
-                 static_cast<unsigned long long>(replication.delta_accounts));
-    std::fprintf(f, "  },\n");
-  }
-  if (scenario.ran) {
-    std::fprintf(f, "  \"scenario\": {\n");
-    std::fprintf(f, "    \"served\": %llu, \"shed\": %llu, "
-                 "\"violations\": %llu,\n",
-                 static_cast<unsigned long long>(scenario.served),
-                 static_cast<unsigned long long>(scenario.shed),
-                 static_cast<unsigned long long>(scenario.violations));
-    std::fprintf(f, "    \"trace_spans\": %llu, \"shed_spans\": %llu, "
-                 "\"trace_sample\": %llu,\n",
-                 static_cast<unsigned long long>(scenario.spans),
-                 static_cast<unsigned long long>(scenario.shed_spans),
-                 static_cast<unsigned long long>(load.trace_sample));
+  bool failed = false;
+  for (const GateOutcome& g : gates) failed |= g.failed();
+  std::fprintf(f, "{\n  \"schema\": \"toka-bench-service-v3\",\n");
+  std::fprintf(f, "  \"git_sha\": \"%s\",\n", json_escape(git_sha).c_str());
+  std::fprintf(f, "  \"timestamp\": \"%s\",\n", iso8601_now().c_str());
+  std::fprintf(f, "  \"host_cpus\": %u,\n", cores);
+  std::fprintf(f,
+               "  \"config\": {\"keys\": %llu, \"zipf\": %g, \"threads\": %zu, "
+               "\"batch\": %zu, \"window\": %zu, \"cluster_nodes\": %zu, "
+               "\"strategy\": \"%s\", \"shards\": %zu, \"delta_us\": %lld, "
+               "\"seconds_per_run\": %g, \"pairs\": %zu},\n",
+               static_cast<unsigned long long>(b.load.keys), b.load.zipf,
+               b.load.threads, b.load.batch, b.load.window,
+               b.load.cluster_nodes,
+               json_escape(b.cfg.strategy.label()).c_str(),
+               b.table.shard_count(),
+               static_cast<long long>(b.cfg.delta_us), b.load.seconds,
+               gated ? kGatePairs : 0);
+  std::fprintf(f, "  \"verdict\": \"%s\",\n",
+               !gated ? "none" : failed ? "fail" : "pass");
+  std::fprintf(f, "  \"gates\": [\n");
+  for (std::size_t i = 0; i < gates.size(); ++i) {
+    const GateOutcome& g = gates[i];
     std::fprintf(f,
-                 "    \"queue_wait_p99_us\": %.2f, \"execute_p99_us\": %.2f, "
-                 "\"cork_p99_us\": %.2f,\n",
-                 scenario.queue_wait_p99_us, scenario.execute_p99_us,
-                 scenario.cork_p99_us);
-    std::fprintf(f,
-                 "    \"byzantine\": {\"replays_answered\": %llu, "
-                 "\"malformed_rejected\": %llu, \"refund_dropped\": %llu, "
-                 "\"watchdog_checks\": %llu, \"watchdog_violations\": %llu},\n",
-                 static_cast<unsigned long long>(scenario.byz_replayed),
-                 static_cast<unsigned long long>(scenario.byz_malformed),
-                 static_cast<unsigned long long>(scenario.byz_refund_dropped),
-                 static_cast<unsigned long long>(scenario.watchdog_checks),
-                 static_cast<unsigned long long>(scenario.watchdog_violations));
-    std::fprintf(f, "    \"phases\": [\n");
-    for (std::size_t i = 0; i < scenario.phases.size(); ++i) {
-      const ScenarioPhase& phase = scenario.phases[i];
-      std::fprintf(f,
-                   "      {\"name\": \"%s\", \"served\": %llu, "
-                   "\"shed\": %llu, \"violations\": %llu, "
-                   "\"p99_us\": %.2f}%s\n",
-                   json_escape(phase.name).c_str(),
-                   static_cast<unsigned long long>(phase.served),
-                   static_cast<unsigned long long>(phase.shed),
-                   static_cast<unsigned long long>(phase.violations),
-                   phase.p99_us,
-                   i + 1 < scenario.phases.size() ? "," : "");
-    }
-    std::fprintf(f, "    ]\n");
-    std::fprintf(f, "  },\n");
+                 "    {\"name\": \"%s\", \"a\": \"%s\", \"b\": \"%s\", "
+                 "\"judge\": \"%s\", \"threshold\": %g, \"median\": %.4f, "
+                 "\"iqr\": %.4f, \"samples\": [",
+                 g.gate->name, g.gate->a, g.gate->b, judge_name(g.gate->judge),
+                 g.gate->threshold, g.median, g.iqr);
+    for (std::size_t s = 0; s < g.samples.size(); ++s)
+      std::fprintf(f, "%s%.4f", s > 0 ? ", " : "", g.samples[s]);
+    std::fprintf(f, "], \"verdict\": \"%s\", \"defects\": [", g.verdict());
+    for (std::size_t d = 0; d < g.defects.size(); ++d)
+      std::fprintf(f, "%s\"%s\"", d > 0 ? ", " : "",
+                   json_escape(g.defects[d]).c_str());
+    std::fprintf(f, "]}%s\n", i + 1 < gates.size() ? "," : "");
   }
-  std::fprintf(f, "  \"runs\": [\n");
+  std::fprintf(f, "  ],\n  \"runs\": [\n");
   for (std::size_t i = 0; i < runs.size(); ++i) {
     const ModeResult& r = runs[i];
     std::fprintf(f,
                  "    {\"mode\": \"%s\", \"threads\": %zu, \"seconds\": %.3f, "
-                 "\"ops\": %llu, \"calls\": %llu, \"ops_per_sec\": %.0f, "
-                 "\"granted_tokens\": %lld,\n",
+                 "\"ops\": %llu, \"ops_per_sec\": %.0f, \"granted_tokens\": "
+                 "%lld, \"lat_p50_us\": %.2f, \"lat_p99_us\": %.2f, "
+                 "\"errors\": %llu",
                  r.mode.c_str(), r.threads, r.seconds,
-                 static_cast<unsigned long long>(r.ops),
-                 static_cast<unsigned long long>(r.calls), r.ops_per_sec(),
-                 static_cast<long long>(r.granted));
-    std::fprintf(f,
-                 "     \"sustained_ops_per_sec\": %.0f, \"throughput_series\": [",
-                 r.sustained_ops_per_sec());
-    for (std::size_t p = 0; p < r.throughput.size(); ++p) {
-      std::fprintf(f, "%s[%.2f, %.0f]", p > 0 ? ", " : "",
-                   to_seconds(r.throughput[p].t), r.throughput[p].value);
-    }
-    std::fprintf(f, "],\n");
-    if (r.has_queue_depth) {
+                 static_cast<unsigned long long>(r.ops), r.ops_per_sec(),
+                 static_cast<long long>(r.granted), r.latency.p50_us,
+                 r.latency.p99_us, static_cast<unsigned long long>(r.errors));
+    if (r.replication) {
+      const ReplicationOutcome& repl = *r.replication;
       std::fprintf(f,
-                   "     \"queue_depth\": {\"samples\": %zu, \"mean\": %.1f, "
-                   "\"p50\": %.0f, \"p90\": %.0f, \"p99\": %.0f, \"max\": "
-                   "%.0f},\n",
-                   r.queue_depth.samples, r.queue_depth.mean_us,
-                   r.queue_depth.p50_us, r.queue_depth.p90_us,
-                   r.queue_depth.p99_us, r.queue_depth.max_us);
+                   ", \"replication\": {\"failover_ms\": %.3f, \"promotions\": "
+                   "%llu, \"replica_installs\": %llu, \"tokens_forfeited\": "
+                   "%lld, \"delta_frames\": %llu, \"delta_accounts\": %llu}",
+                   repl.failover_ms,
+                   static_cast<unsigned long long>(repl.promotions),
+                   static_cast<unsigned long long>(repl.replica_installs),
+                   static_cast<long long>(repl.tokens_forfeited),
+                   static_cast<unsigned long long>(repl.delta_frames),
+                   static_cast<unsigned long long>(repl.delta_accounts));
     }
-    std::fprintf(f,
-                 "     \"latency_us\": {\"samples\": %zu, \"mean\": %.2f, "
-                 "\"p50\": %.2f, \"p90\": %.2f, \"p99\": %.2f, \"max\": "
-                 "%.2f}}%s\n",
-                 r.latency.samples, r.latency.mean_us, r.latency.p50_us,
-                 r.latency.p90_us, r.latency.p99_us, r.latency.max_us,
+    std::fprintf(f, ", \"defect\": \"%s\"}%s\n", json_escape(r.defect).c_str(),
                  i + 1 < runs.size() ? "," : "");
   }
-  std::fprintf(f, "  ],\n");
-  std::fprintf(f,
-               "  \"table_stats\": {\"accounts\": %llu, \"acquires\": %llu, "
-               "\"tokens_requested\": %llu, \"tokens_granted\": %llu, "
-               "\"proactive_dropped\": %llu, \"ticks_forfeited\": %llu}\n",
-               static_cast<unsigned long long>(stats.accounts),
-               static_cast<unsigned long long>(stats.acquires),
-               static_cast<unsigned long long>(stats.tokens_requested),
-               static_cast<unsigned long long>(stats.tokens_granted),
-               static_cast<unsigned long long>(stats.proactive_dropped),
-               static_cast<unsigned long long>(stats.ticks_forfeited));
-  std::fprintf(f, "}\n");
+  std::fprintf(f, "  ]\n}\n");
   std::fclose(f);
   std::printf("wrote %s\n", path.c_str());
 }
@@ -1510,7 +892,7 @@ void write_json(const std::string& path, const std::vector<ModeResult>& runs,
 
 int main(int argc, char** argv) {
   const util::Args args(argc, argv);
-  const bool quick = args.get_flag("quick");
+  const bool gate = args.get_flag("gate");
 
   LoadConfig load;
   load.threads = util::ThreadPool::resolve(
@@ -1518,24 +900,17 @@ int main(int argc, char** argv) {
   load.keys = static_cast<std::uint64_t>(
       args.get_int("keys", 1 << 20));  // >= 1M distinct keys by default
   load.zipf = args.get_double("zipf", 0.99);
-  load.seconds = args.get_double("seconds", quick ? 1.0 : 4.0);
+  load.seconds = args.get_double(
+      "seconds", gate || args.get_flag("quick") ? 1.0 : 4.0);
   load.batch = static_cast<std::size_t>(args.get_int("batch", 16));
-  load.open_rate = args.get_double("rate", 200'000);
   load.window = static_cast<std::size_t>(args.get_int("window", 64));
   load.cluster_nodes =
       static_cast<std::size_t>(args.get_int("cluster-nodes", 3));
-  load.churn = args.get_flag("churn");
-  load.replicas = static_cast<std::uint32_t>(
-      std::max<std::int64_t>(args.get_int("replicas", 0), 0));
   load.workers = static_cast<std::size_t>(args.get_int("workers", 0));
-  load.io_threads =
-      std::max<std::size_t>(args.get_int("io-threads", 1), 1);
   load.trace_sample = static_cast<std::uint64_t>(
       std::max<std::int64_t>(args.get_int("trace-sample", 128), 0));
   load.watchdog_sample = static_cast<std::uint64_t>(
       std::max<std::int64_t>(args.get_int("watchdog-sample", 64), 0));
-  load.git_sha = args.get_string("git-sha", "");
-  load.timestamp = args.get_string("timestamp", "");
 
   service::ServiceConfig cfg;
   cfg.shards = static_cast<std::size_t>(args.get_int("shards", 256));
@@ -1547,565 +922,55 @@ int main(int argc, char** argv) {
   cfg.idle_ttl_us = args.get_int("ttl-ms", 0) * 1000;
   cfg.seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
 
-  // --mode is an alias for --modes (reads naturally for a single mode).
-  const std::string modes_arg = args.get_string(
-      "modes",
-      args.get_string(
-          "mode",
-          "preload,table,batch,open,wire,sync,pipeline,sharded,shardedtr,"
-          "shardedwd,epoll,cluster,overload,scenario"));
   std::vector<std::string> modes;
-  std::stringstream modes_stream(modes_arg);
-  for (std::string m; std::getline(modes_stream, m, ',');) modes.push_back(m);
+  if (args.has("modes")) {
+    std::stringstream modes_stream(args.get_string("modes", ""));
+    for (std::string m; std::getline(modes_stream, m, ',');) modes.push_back(m);
+  } else {
+    modes = kModes;
+  }
 
   service::AccountTable table(cfg);
+  preload(table, load.keys);
   service::ClockDriver driver(table, /*resolution_us=*/1000);
   driver.start();
   const util::ZipfSampler sampler(load.keys, load.zipf);
+  const Bench bench{table, cfg, sampler, load};
+  const unsigned cores = std::thread::hardware_concurrency();
 
   std::printf("service_load: %s, %zu shards, Δ=%lldms | %llu keys zipf %.2f | "
-              "%zu threads, %.1fs per mode\n\n",
+              "%zu threads, %.1fs per run%s\n\n",
               cfg.strategy.label().c_str(), table.shard_count(),
               static_cast<long long>(cfg.delta_us / 1000),
               static_cast<unsigned long long>(load.keys), load.zipf,
-              load.threads, load.seconds);
+              load.threads, load.seconds,
+              gate ? ", gate pairs interleaved" : "");
 
   std::vector<ModeResult> runs;
-  std::uint64_t cluster_errors = 0;
-  std::size_t workers_used = 0;  ///< resolved shard-owner worker count
-  OverloadOutcome overload;
-  ScenarioOutcome scenario;
-  ReplicationOutcome replication;
-  for (const std::string& mode : modes) {
-    if (mode == "preload") {
-      runs.push_back(run_preload(table, load));
-    } else if (mode == "table") {
-      runs.push_back(run_table_closed(table, sampler, load));
-    } else if (mode == "batch") {
-      runs.push_back(run_table_batched(table, sampler, load));
-    } else if (mode == "open") {
-      runs.push_back(run_table_open(table, sampler, load));
-    } else if (mode == "wire") {
-      runtime::InProcNetwork net(1 + load.threads);
-      service::Server server(table, net.endpoint(0));
-      net.start();
-      runs.push_back(run_wire("wire", sampler, load, [&](std::size_t t) -> runtime::Transport& {
-        return net.endpoint(static_cast<NodeId>(1 + t));
-      }));
-      net.stop();
-    } else if (mode == "tcp") {
-      runtime::TcpMesh mesh(1 + load.threads);
-      service::Server server(table, mesh.endpoint(0));
-      runs.push_back(run_wire("tcp", sampler, load, [&](std::size_t t) -> runtime::Transport& {
-        return mesh.endpoint(static_cast<NodeId>(1 + t));
-      }));
-    } else if (mode == "sync") {
-      runtime::TcpMesh mesh(2);
-      service::Server server(table, mesh.endpoint(0));
-      runs.push_back(run_sync("sync", sampler, load, [&](std::size_t t) -> runtime::Transport& {
-        return mesh.endpoint(static_cast<NodeId>(1 + t));
-      }));
-    } else if (mode == "pipeline") {
-      // Same single TCP connection as "sync", but --window acquires deep.
-      runtime::TcpMesh mesh(2);
-      service::Server server(table, mesh.endpoint(0));
-      runs.push_back(run_pipeline("pipeline", sampler, load, /*connections=*/1,
-                                  [&](std::size_t t) -> runtime::Transport& {
-        return mesh.endpoint(static_cast<NodeId>(1 + t));
-      }));
-    } else if (mode == "sharded" || mode == "shardedtr" ||
-               mode == "shardedwd") {
-      // The shard-per-thread plane on its own table (exclusive_shards: the
-      // per-shard mutex is a no-op, workers own their shards outright).
-      // "shardedtr" is the same run with the flight recorder attached and
-      // every batch trace-stamped: the sharded/shardedtr ratio prices the
-      // recorder on the hottest path (--max-trace-overhead gates it).
-      // "shardedwd" is the same run with the §3.4 invariant watchdog at
-      // its production sampling (--watchdog-sample, 1-in-64 keys by
-      // default): the sharded/shardedwd ratio prices the online auditor
-      // the same way (--max-watchdog-overhead gates it). The plain
-      // "sharded" baseline runs with both off so each ratio isolates one
-      // feature.
-      service::ServiceConfig sharded_cfg = cfg;
-      sharded_cfg.exclusive_shards = true;
-      sharded_cfg.watchdog_sample =
-          mode == "shardedwd" ? load.watchdog_sample : 0;
-      service::AccountTable sharded_table(sharded_cfg);
-      // Preload before the engine starts: until the workers exist the
-      // table is single-owner, so direct (single-threaded) access is legal.
-      {
-        constexpr std::size_t kChunk = 4096;
-        std::vector<service::AcquireOp> ops;
-        ops.reserve(kChunk);
-        for (std::uint64_t key = 0; key < load.keys; key += kChunk) {
-          ops.clear();
-          const std::uint64_t end =
-              std::min<std::uint64_t>(key + kChunk, load.keys);
-          for (std::uint64_t k = key; k < end; ++k)
-            ops.push_back(service::AcquireOp{k, 0});
-          sharded_table.acquire_batch(ops);
-        }
+  std::vector<GateOutcome> gates;
+  if (gate) {
+    gates = run_gates(bench, runs, cores);
+  } else {
+    for (const std::string& mode : modes) {
+      ModeResult r;
+      if (!run_mode(mode, bench, r)) {
+        std::fprintf(stderr, "unknown mode '%s' (skipped)\n", mode.c_str());
+        continue;
       }
-      service::ClockDriver sharded_driver(sharded_table, 1000);
-      sharded_driver.start();
-      obs::TracerOptions trace_opts;
-      trace_opts.sample_every = load.trace_sample;
-      obs::Tracer tracer(trace_opts);
-      service::ShardEngineOptions engine_opts;
-      engine_opts.workers = load.workers;
-      if (mode == "shardedtr") engine_opts.tracer = &tracer;
-      service::ShardEngine engine(sharded_table, engine_opts);
-      workers_used = engine.worker_count();
-      QueueDepthSampler depth(engine);
-      runs.push_back(run_sharded(mode, engine, sampler, load,
-                                 mode == "shardedtr" ? &tracer : nullptr));
-      runs.back().queue_depth = depth.stop();
-      runs.back().has_queue_depth = true;
-      engine.drain();
-      sharded_driver.stop();
-    } else if (mode == "epoll") {
-      // The whole plane end to end: pipelined async clients over the
-      // nonblocking epoll mesh into an engine-mode server whose workers
-      // reply from their completions (the loop corks them per connection).
-      service::ServiceConfig sharded_cfg = cfg;
-      sharded_cfg.exclusive_shards = true;
-      service::AccountTable sharded_table(sharded_cfg);
-      service::ClockDriver sharded_driver(sharded_table, 1000);
-      sharded_driver.start();
-      service::ShardEngineOptions engine_opts;
-      engine_opts.workers = load.workers;
-      service::ShardEngine engine(sharded_table, engine_opts);
-      workers_used = engine.worker_count();
-      runtime::EpollMesh mesh(1 + load.threads, load.io_threads);
-      service::ServerOptions server_opts;
-      server_opts.engine = &engine;
-      service::Server server(sharded_table, mesh.endpoint(0), server_opts);
-      QueueDepthSampler depth(engine);
-      runs.push_back(run_pipeline("epoll", sampler, load, load.threads,
-                                  [&](std::size_t t) -> runtime::Transport& {
-        return mesh.endpoint(static_cast<NodeId>(1 + t));
-      }));
-      runs.back().queue_depth = depth.stop();
-      runs.back().has_queue_depth = true;
-      sharded_driver.stop();
-    } else if (mode == "cluster") {
-      // Scale-out pair: the same pipelined workload against 1 node, then
-      // against the full member count; the ratio is the speedup the
-      // consistent-hash sharding buys.
-      std::uint64_t errors1 = 0, errors_n = 0, errors_r = 0;
-      runs.push_back(run_cluster("cluster1", sampler, load, cfg, 1,
-                                 /*churn=*/false, /*replicas=*/0, nullptr,
-                                 errors1));
-      print_result(runs.back());
-      runs.push_back(run_cluster("cluster", sampler, load, cfg,
-                                 std::max<std::size_t>(load.cluster_nodes, 1),
-                                 load.churn, /*replicas=*/0, nullptr,
-                                 errors_n));
-      cluster_errors = errors1 + errors_n;
-      if (load.replicas > 0) {
-        // Replication pricing pair: the replicated run always churns (the
-        // kill + promote() failover is the point), so its baseline must
-        // churn too — the "cluster" run if --churn was given, otherwise a
-        // dedicated unreplicated churn run. The ops/s ratio then prices
-        // exactly the delta stream, not the kill window.
-        print_result(runs.back());
-        double churn_baseline = runs.back().ops_per_sec();
-        if (!load.churn) {
-          std::uint64_t errors_c = 0;
-          runs.push_back(run_cluster(
-              "cluster-churn", sampler, load, cfg,
-              std::max<std::size_t>(load.cluster_nodes, 1), /*churn=*/true,
-              /*replicas=*/0, nullptr, errors_c));
-          print_result(runs.back());
-          churn_baseline = runs.back().ops_per_sec();
-          cluster_errors += errors_c;
-        }
-        runs.push_back(run_cluster(
-            "cluster-repl", sampler, load, cfg,
-            std::max<std::size_t>(load.cluster_nodes, 1), /*churn=*/true,
-            load.replicas, &replication, errors_r));
-        replication.baseline_ops_per_sec = churn_baseline;
-        replication.errors = errors_r;
-        cluster_errors += errors_r;
-      }
-    } else if (mode == "overload") {
-      // Flash crowd against its own admission-controlled server (the shared
-      // table stays untouched — the scenario measures the valve, not the
-      // store).
-      run_overload(runs, sampler, load, cfg,
-                   args.get_double("overload-rate", 20'000), overload);
-    } else if (mode == "scenario") {
-      // Trace-replay suite against its own fully traced plane; each phase
-      // prints and lands in `runs` on its own.
-      run_scenario(runs, sampler, load, cfg,
-                   args.get_double("scenario-rate", 20'000), scenario);
-      continue;
-    } else if (mode == "aopen") {
-      runtime::TcpMesh mesh(1 + load.threads);
-      service::Server server(table, mesh.endpoint(0));
-      runs.push_back(run_open_async("aopen", sampler, load,
-                                    [&](std::size_t t) -> runtime::Transport& {
-        return mesh.endpoint(static_cast<NodeId>(1 + t));
-      }));
-    } else {
-      std::fprintf(stderr, "unknown mode '%s' (skipped)\n", mode.c_str());
-      continue;
+      r.defect = run_defect(r, bench);
+      print_result(r);
+      runs.push_back(std::move(r));
     }
-    print_result(runs.back());
   }
   driver.stop();
-
-  const service::TableStats stats = table.stats();
-  std::printf("\n%llu live accounts, %llu/%llu tokens granted, "
-              "%llu proactive drops, %llu ticks forfeited\n",
-              static_cast<unsigned long long>(stats.accounts),
-              static_cast<unsigned long long>(stats.tokens_granted),
-              static_cast<unsigned long long>(stats.tokens_requested),
-              static_cast<unsigned long long>(stats.proactive_dropped),
-              static_cast<unsigned long long>(stats.ticks_forfeited));
+  if (gate) print_gates(gates, cores);
 
   const std::string json_path = args.get_string("json", "");
   if (!json_path.empty())
-    write_json(json_path, runs, table, load, quick, overload, scenario,
-               replication, workers_used);
+    write_json(json_path, args.get_string("git-sha", "unknown"), bench, runs,
+               gates, gate, cores);
 
-  // --scrape-out captures the overload server's Prometheus exposition (the
-  // release-bench job uploads it as an artifact).
-  const std::string scrape_path = args.get_string("scrape-out", "");
-  if (!scrape_path.empty()) {
-    if (std::FILE* f = std::fopen(scrape_path.c_str(), "w")) {
-      std::fputs(overload.scrape_text.c_str(), f);
-      std::fclose(f);
-      std::printf("wrote %s\n", scrape_path.c_str());
-    } else {
-      std::fprintf(stderr, "cannot write %s\n", scrape_path.c_str());
-    }
-  }
-
-  // --trace-out captures the scenario run's flight-recorder spans (the
-  // release-bench job uploads the JSON as an artifact).
-  const std::string trace_path = args.get_string("trace-out", "");
-  if (!trace_path.empty()) {
-    if (std::FILE* f = std::fopen(trace_path.c_str(), "w")) {
-      std::fputs(scenario.trace_json.c_str(), f);
-      std::fclose(f);
-      std::printf("wrote %s\n", trace_path.c_str());
-    } else {
-      std::fprintf(stderr, "cannot write %s\n", trace_path.c_str());
-    }
-  }
-
-  // The scenario suite's hard promises: every failure is a typed shed, and
-  // because sheds force-record, a flash crowd that shed must have left
-  // kShed spans in the flight recorder.
-  if (scenario.ran) {
-    if (scenario.violations > 0) {
-      std::fprintf(stderr,
-                   "FAIL: scenario runs saw %llu non-typed failures "
-                   "(timeouts/errors) alongside %llu typed sheds\n",
-                   static_cast<unsigned long long>(scenario.violations),
-                   static_cast<unsigned long long>(scenario.shed));
-      return 1;
-    }
-    if (scenario.flash_shed > 0 && scenario.shed_spans == 0) {
-      std::fprintf(stderr,
-                   "FAIL: flash crowd shed %llu requests but the flight "
-                   "recorder holds no kShed spans\n",
-                   static_cast<unsigned long long>(scenario.flash_shed));
-      return 1;
-    }
-    // The Byzantine phase must have bitten (every abuse class moved its
-    // typed counter) and must not have bent the invariant: the every-key
-    // watchdog audited real grants and found the §3.4 bound intact.
-    if (scenario.byz_malformed == 0 || scenario.byz_refund_dropped == 0) {
-      std::fprintf(stderr,
-                   "FAIL: byzantine phase drew no typed rejections "
-                   "(%llu malformed, %llu refund drops)\n",
-                   static_cast<unsigned long long>(scenario.byz_malformed),
-                   static_cast<unsigned long long>(scenario.byz_refund_dropped));
-      return 1;
-    }
-    if (scenario.watchdog_checks == 0 || scenario.watchdog_violations > 0) {
-      std::fprintf(stderr,
-                   "FAIL: watchdog audited %llu grants and flagged %llu "
-                   "violations (want > 0 checks and exactly 0 violations)\n",
-                   static_cast<unsigned long long>(scenario.watchdog_checks),
-                   static_cast<unsigned long long>(scenario.watchdog_violations));
-      return 1;
-    }
-  }
-
-  // Release-bench CI passes --max-trace-overhead=2 (percent): the flight
-  // recorder, attached and stamping every batch, may not cost the sharded
-  // plane more than this against the untraced run.
-  const double max_trace_overhead = args.get_double("max-trace-overhead", 0);
-  if (max_trace_overhead > 0) {
-    double sharded_ops = 0, traced_ops = 0;
-    for (const ModeResult& r : runs) {
-      if (r.mode == "sharded") sharded_ops = r.ops_per_sec();
-      if (r.mode == "shardedtr") traced_ops = r.ops_per_sec();
-    }
-    if (sharded_ops <= 0 || traced_ops <= 0) {
-      std::fprintf(stderr,
-                   "FAIL: --max-trace-overhead needs both the sharded and "
-                   "the shardedtr modes in --modes\n");
-      return 1;
-    }
-    const double overhead_pct = 100.0 * (1.0 - traced_ops / sharded_ops);
-    if (overhead_pct > max_trace_overhead) {
-      std::fprintf(stderr,
-                   "FAIL: tracing costs %.2f%% on the sharded plane "
-                   "(%.0f -> %.0f ops/s, ceiling %.2f%%)\n",
-                   overhead_pct, sharded_ops, traced_ops, max_trace_overhead);
-      return 1;
-    }
-    std::printf("tracing costs %.2f%% on the sharded plane "
-                "(ceiling %.2f%%): OK\n",
-                overhead_pct, max_trace_overhead);
-  }
-
-  // Release-bench CI passes --max-watchdog-overhead=2 (percent) on >= 4-core
-  // runners: the §3.4 invariant watchdog at its production sampling may not
-  // cost the sharded plane more than this against the unaudited run.
-  const double max_watchdog_overhead =
-      args.get_double("max-watchdog-overhead", 0);
-  if (max_watchdog_overhead > 0) {
-    double sharded_ops = 0, watchdog_ops = 0;
-    for (const ModeResult& r : runs) {
-      if (r.mode == "sharded") sharded_ops = r.ops_per_sec();
-      if (r.mode == "shardedwd") watchdog_ops = r.ops_per_sec();
-    }
-    if (sharded_ops <= 0 || watchdog_ops <= 0) {
-      std::fprintf(stderr,
-                   "FAIL: --max-watchdog-overhead needs both the sharded and "
-                   "the shardedwd modes in --modes\n");
-      return 1;
-    }
-    const double overhead_pct = 100.0 * (1.0 - watchdog_ops / sharded_ops);
-    if (overhead_pct > max_watchdog_overhead) {
-      std::fprintf(stderr,
-                   "FAIL: the watchdog costs %.2f%% on the sharded plane "
-                   "(%.0f -> %.0f ops/s, ceiling %.2f%%)\n",
-                   overhead_pct, sharded_ops, watchdog_ops,
-                   max_watchdog_overhead);
-      return 1;
-    }
-    std::printf("watchdog costs %.2f%% on the sharded plane "
-                "(ceiling %.2f%%): OK\n",
-                overhead_pct, max_watchdog_overhead);
-  }
-
-  // The overload scenario's hard promise: excess load turns into typed
-  // kOverloaded sheds, never into timeouts or untyped failures.
-  if (overload.ran && overload.violations > 0) {
-    std::fprintf(stderr,
-                 "FAIL: overload run saw %llu non-typed failures "
-                 "(timeouts/errors) alongside %llu typed sheds\n",
-                 static_cast<unsigned long long>(overload.violations),
-                 static_cast<unsigned long long>(overload.shed));
-    return 1;
-  }
-
-  // Release-bench CI passes --min-table-ops=100000: the acceptance floor
-  // for the raw store on CI hardware.
-  const double min_table_ops = args.get_double("min-table-ops", 0);
-  if (min_table_ops > 0) {
-    double table_ops = 0;
-    for (const ModeResult& r : runs)
-      if (r.mode == "table") table_ops = r.ops_per_sec();
-    if (table_ops < min_table_ops) {
-      std::fprintf(stderr, "FAIL: table mode %.0f ops/s below floor %.0f\n",
-                   table_ops, min_table_ops);
-      return 1;
-    }
-    std::printf("table mode sustains %.0f ops/s (floor %.0f): OK\n", table_ops,
-                min_table_ops);
-  }
-
-  // Release-bench CI passes --min-sharded-ops on >= 4-core runners: the
-  // absolute acceptance floor for the shard-per-thread plane
-  // (bench_snapshot.sh gates the flag on the core count — with one or two
-  // cores the workers just time-slice against the submitters).
-  const double min_sharded_ops = args.get_double("min-sharded-ops", 0);
-  if (min_sharded_ops > 0) {
-    double sharded_ops = 0;
-    for (const ModeResult& r : runs)
-      if (r.mode == "sharded") sharded_ops = r.ops_per_sec();
-    if (sharded_ops < min_sharded_ops) {
-      std::fprintf(stderr, "FAIL: sharded mode %.0f ops/s below floor %.0f\n",
-                   sharded_ops, min_sharded_ops);
-      return 1;
-    }
-    std::printf("sharded mode sustains %.0f ops/s (floor %.0f): OK\n",
-                sharded_ops, min_sharded_ops);
-  }
-
-  // Release-bench CI passes --min-sharded-speedup=1.0 on the same >= 4-core
-  // condition: shard-owner workers with no locks must never lose to the
-  // striped-lock table on the same workload.
-  const double min_sharded_speedup = args.get_double("min-sharded-speedup", 0);
-  if (min_sharded_speedup > 0) {
-    double table_ops = 0, sharded_ops = 0;
-    for (const ModeResult& r : runs) {
-      if (r.mode == "table") table_ops = r.ops_per_sec();
-      if (r.mode == "sharded") sharded_ops = r.ops_per_sec();
-    }
-    if (table_ops <= 0 || sharded_ops <= 0) {
-      std::fprintf(stderr,
-                   "FAIL: --min-sharded-speedup needs both the table and the "
-                   "sharded modes in --modes\n");
-      return 1;
-    }
-    const double speedup = sharded_ops / table_ops;
-    if (speedup < min_sharded_speedup) {
-      std::fprintf(stderr,
-                   "FAIL: sharded %.0f ops/s is only %.2fx table %.0f ops/s "
-                   "(floor %.2fx)\n",
-                   sharded_ops, speedup, table_ops, min_sharded_speedup);
-      return 1;
-    }
-    std::printf("sharded sustains %.2fx table throughput (floor %.2fx): OK\n",
-                speedup, min_sharded_speedup);
-  }
-
-  // Release-bench CI passes --min-pipeline-speedup=1: the async pipelined
-  // client must never fall behind the sync closed loop on the same single
-  // TCP connection (locally the ratio is far higher; the CI floor only
-  // guards against the pipeline regressing into sync behaviour).
-  const double min_speedup = args.get_double("min-pipeline-speedup", 0);
-  if (min_speedup > 0) {
-    double sync_ops = 0, pipeline_ops = 0;
-    for (const ModeResult& r : runs) {
-      if (r.mode == "sync") sync_ops = r.ops_per_sec();
-      if (r.mode == "pipeline") pipeline_ops = r.ops_per_sec();
-    }
-    if (sync_ops <= 0 || pipeline_ops <= 0) {
-      std::fprintf(stderr,
-                   "FAIL: --min-pipeline-speedup needs both the sync and the "
-                   "pipeline modes in --modes\n");
-      return 1;
-    }
-    const double speedup = pipeline_ops / sync_ops;
-    if (speedup < min_speedup) {
-      std::fprintf(stderr,
-                   "FAIL: pipeline %.0f ops/s is only %.2fx sync %.0f ops/s "
-                   "(floor %.2fx)\n",
-                   pipeline_ops, speedup, sync_ops, min_speedup);
-      return 1;
-    }
-    std::printf("pipeline sustains %.2fx sync throughput (floor %.2fx): OK\n",
-                speedup, min_speedup);
-  }
-
-  // Release-bench CI passes --min-cluster-speedup=1.5: N tokad nodes (each
-  // one dispatcher lane ≈ one machine) must beat one node by at least this
-  // factor on the same pipelined Zipf workload. Any client-visible error
-  // in a cluster run fails the bench outright.
-  const double min_cluster = args.get_double("min-cluster-speedup", 0);
-  if (min_cluster > 0) {
-    if (cluster_errors > 0) {
-      std::fprintf(stderr, "FAIL: cluster runs saw %llu client errors\n",
-                   static_cast<unsigned long long>(cluster_errors));
-      return 1;
-    }
-    double one_ops = 0, n_ops = 0;
-    for (const ModeResult& r : runs) {
-      if (r.mode == "cluster1") one_ops = r.ops_per_sec();
-      if (r.mode == "cluster") n_ops = r.ops_per_sec();
-    }
-    if (one_ops <= 0 || n_ops <= 0) {
-      std::fprintf(stderr,
-                   "FAIL: --min-cluster-speedup needs the cluster mode\n");
-      return 1;
-    }
-    const double speedup = n_ops / one_ops;
-    if (speedup < min_cluster) {
-      std::fprintf(stderr,
-                   "FAIL: %zu-node cluster %.0f ops/s is only %.2fx one node "
-                   "%.0f ops/s (floor %.2fx)\n",
-                   load.cluster_nodes, n_ops, speedup, one_ops, min_cluster);
-      return 1;
-    }
-    std::printf("%zu-node cluster sustains %.2fx one-node throughput "
-                "(floor %.2fx): OK\n",
-                load.cluster_nodes, speedup, min_cluster);
-  }
-
-  // Release-bench CI passes --enforce-replication-churn with --replicas=1:
-  // the replicated churn run must actually fail over (a promotion that
-  // installed replicas), keep every client error-free, and forfeit at most
-  // a bounded number of tokens — one capacity's worth per account that
-  // could have been mid-stream at the kill (installed replicas, the
-  // locked plane's coalescing window, and one in-flight op per client
-  // chain). A duplicate-grant bug shows up in the churn *tests*; what this
-  // smoke catches is the catastrophic regression where failover silently
-  // confiscates the keyspace.
-  if (args.get_flag("enforce-replication-churn")) {
-    if (!replication.ran) {
-      std::fprintf(stderr,
-                   "FAIL: --enforce-replication-churn needs the cluster mode "
-                   "with --replicas\n");
-      return 1;
-    }
-    if (replication.errors > 0 || replication.promotions == 0 ||
-        replication.replica_installs == 0) {
-      std::fprintf(stderr,
-                   "FAIL: replicated churn run: %llu errors, %llu promotions, "
-                   "%llu installs (want 0 errors and a failover that "
-                   "installed replicas)\n",
-                   static_cast<unsigned long long>(replication.errors),
-                   static_cast<unsigned long long>(replication.promotions),
-                   static_cast<unsigned long long>(replication.replica_installs));
-      return 1;
-    }
-    const std::int64_t capacity = cfg.strategy.c_param + 1;
-    const std::int64_t forfeit_bound =
-        static_cast<std::int64_t>(replication.replica_installs +
-                                  service::ServerOptions{}.replication_flush_ops +
-                                  load.threads * load.window) *
-        capacity;
-    if (replication.tokens_forfeited > forfeit_bound) {
-      std::fprintf(stderr,
-                   "FAIL: replicated churn forfeited %lld tokens, above the "
-                   "lag bound %lld\n",
-                   static_cast<long long>(replication.tokens_forfeited),
-                   static_cast<long long>(forfeit_bound));
-      return 1;
-    }
-    std::printf("replicated churn: %llu installs, %lld forfeited (bound "
-                "%lld), failover %.1fms: OK\n",
-                static_cast<unsigned long long>(replication.replica_installs),
-                static_cast<long long>(replication.tokens_forfeited),
-                static_cast<long long>(forfeit_bound), replication.failover_ms);
-  }
-
-  // Release-bench CI passes --max-replication-overhead=15 (percent) on
-  // >= 4-core runners: the delta stream may cost at most this much of the
-  // unreplicated churn run's throughput. Needs real parallelism for the
-  // same reason as the other ratios — on one or two cores the follower
-  // lanes time-share the primaries' cores and the delta measures the
-  // scheduler, not the stream.
-  const double max_repl_overhead = args.get_double("max-replication-overhead", 0);
-  if (max_repl_overhead > 0) {
-    if (!replication.ran || replication.baseline_ops_per_sec <= 0) {
-      std::fprintf(stderr,
-                   "FAIL: --max-replication-overhead needs the cluster mode "
-                   "with --replicas\n");
-      return 1;
-    }
-    const double overhead =
-        100.0 * (1.0 - replication.ops_per_sec /
-                           replication.baseline_ops_per_sec);
-    if (overhead > max_repl_overhead) {
-      std::fprintf(stderr,
-                   "FAIL: replication costs %.1f%% of unreplicated churn "
-                   "throughput (ceiling %.1f%%)\n",
-                   overhead, max_repl_overhead);
-      return 1;
-    }
-    std::printf("replication delta-stream overhead %.1f%% (ceiling %.1f%%): "
-                "OK\n",
-                overhead, max_repl_overhead);
-  }
+  for (const GateOutcome& g : gates)
+    if (g.failed()) return 1;
   return 0;
 }

@@ -1,36 +1,30 @@
 #!/bin/sh
-# Captures performance snapshots as JSON documents, starting the perf
-# trajectory the ROADMAP asks for:
+# Captures the per-commit performance snapshots and runs the service's CI
+# performance gates.
 #
-#  - BENCH_engine.json: wall-clock times for the figure-driver smokes that
-#    stress the engine hot paths, plus (when the Google-Benchmark binary was
-#    built) the engine micro-benchmarks: select_peer, event queue push/pop,
-#    churn toggles, MPSC op-queue push/pop and cross-thread hand-off, and
-#    the shard-engine op round trip.
-#  - BENCH_service.json: the tokend service load generator (service_load
-#    --quick): acquire throughput and latency percentiles over 1M+ Zipf-
-#    distributed keys, raw / batched / open-loop / wire-protocol, plus the
-#    paired single-TCP-connection sync and pipelined closed loops (v2 async
-#    client, pipelined ops/s + p99 recorded) and the tokad cluster pair
-#    (1-node vs 3-node in-proc cluster, cluster micro numbers included via
-#    the HashRing micro-benchmarks), and the shard-per-thread plane pair
-#    (sharded: batches straight into the ShardEngine; epoll: pipelined
-#    clients over the nonblocking event-loop mesh into an engine-mode
-#    server), each with shard-queue depth percentiles. Also enforces the
-#    100k acquire-ops/s floor, the pipelined >= sync floor, the 3-node
-#    >= 1.5x 1-node cluster scale-out floor, and (on >= 4 cores) the
-#    sharded-plane absolute and vs-table floors.
+#  - BENCH_engine.json: wall-clock times of the figure-driver smokes that
+#    stress the simulator's hot paths, plus (when the Google-Benchmark
+#    binary was built) the engine, protocol, hash-ring, MPSC-queue and
+#    shard-engine micro-benchmarks.
+#  - BENCH_service.json: `service_load --gate`. Every gate in its table
+#    runs its two modes as 5 interleaved pairs and is judged on the median
+#    over the pairs, written with its IQR, samples, threshold and verdict.
+#    service_load prints its own summary and exits 1 when a gate fails.
+#  - BENCH_tokactl.txt: the operator CLI's merged stats of a live demo
+#    cluster; a failed sweep, a watchdog violation or a failed trace stitch
+#    fails the script.
 #
-# Usage: bench_snapshot.sh [build-dir] [engine.json] [service.json] [scrape.txt] [traces.json] [tokactl.txt]
-# CI uploads the outputs as artifacts per commit.
+# Every JSON is stamped with the commit, the host's CPU count and the UTC
+# time. The script exits non-zero if a gate or tokactl fails, after writing
+# every file.
+#
+# Usage: bench_snapshot.sh [build-dir] [engine.json] [service.json] [tokactl.txt]
 set -eu
 
 build_dir=${1:-build}
 out=${2:-BENCH_engine.json}
 service_out=${3:-BENCH_service.json}
-scrape_out=${4:-BENCH_scrape.txt}
-trace_out=${5:-BENCH_traces.json}
-tokactl_out=${6:-BENCH_tokactl.txt}
+tokactl_out=${4:-BENCH_tokactl.txt}
 tmpdir=$(mktemp -d)
 trap 'rm -rf "$tmpdir"' EXIT
 
@@ -90,90 +84,10 @@ EOF
 
 echo "wrote $out (fig4_scale --quick: ${fig4_ms} ms)"
 
-# Service-layer snapshot: the load generator writes the JSON itself (it has
-# the latency samples). --min-table-ops is the CI acceptance floor for raw
-# acquire throughput; --min-pipeline-speedup demands the v2 pipelined
-# client at least matches the sync closed loop on one TCP connection
-# (locally it is many times faster; CI hardware is noisy, so the floor
-# only catches the pipeline regressing into sync behaviour);
-# --min-cluster-speedup is the tokad scale-out floor: 3 in-proc cluster
-# nodes (one dispatcher lane each ≈ one machine) must beat one node by
-# >= 1.5x on the same pipelined Zipf workload, with zero client-visible
-# errors. The cluster floor needs real parallelism: on hosts with fewer
-# than 4 cores (CI runners have 4 vCPUs) the 3 node lanes time-share one
-# or two cores and the ratio measures the scheduler, not the sharding —
-# so below 4 cores the floor is dropped and a warning printed instead of
-# a hard failure. CI keeps the hard floor.
-#
-# The sharded floors follow the same rule: the shard-per-thread plane
-# (--min-sharded-ops absolute, --min-sharded-speedup vs the striped-lock
-# table mode) only shows its parallelism when the owner workers get their
-# own cores — on one or two cores the workers time-slice against the
-# submitters and the ratio measures the scheduler.
-#
-# The flight-recorder ceiling (--max-trace-overhead=2: the sharded run with
-# the tracer attached and every batch stamped may cost at most 2% against
-# the untraced run) is gated the same way: on one or two cores the
-# recorder's worker-side clock reads steal cycles from the submitter
-# thread and the delta measures time-slicing, not the recorder.
-# The replication churn smoke always runs (--replicas=1 adds a replicated
-# churn run whose failover time, forfeit accounting and delta-stream
-# overhead land in the JSON's "replication" block), but its enforcement —
-# the failover must install replicas with zero client errors and a bounded
-# forfeit, and the delta stream may cost at most 15% of unreplicated churn
-# throughput — follows the >= 4-core rule like every other ratio: on fewer
-# cores the follower lanes time-share the primaries' cores and the
-# overhead measures the scheduler, not the stream.
-cpus=$(nproc 2>/dev/null || echo 1)
-if [ "$cpus" -ge 4 ]; then
-  cluster_floor="--min-cluster-speedup=1.5"
-  sharded_floor="--min-sharded-ops=250000 --min-sharded-speedup=1.0"
-  trace_ceiling="--max-trace-overhead=2"
-  watchdog_ceiling="--max-watchdog-overhead=2"
-  repl_floor="--enforce-replication-churn --max-replication-overhead=15"
-else
-  cluster_floor=""
-  sharded_floor=""
-  trace_ceiling=""
-  watchdog_ceiling=""
-  repl_floor=""
-  echo "WARN: only ${cpus} core(s); skipping the cluster scale-out floor" \
-       "(needs >= 4 cores to measure sharding, not scheduling)" >&2
-  echo "WARN: only ${cpus} core(s); skipping the sharded-plane floors" \
-       "(shard-owner workers need their own cores)" >&2
-  echo "WARN: only ${cpus} core(s); skipping the trace-overhead ceiling" \
-       "(the delta measures time-slicing, not the recorder)" >&2
-  echo "WARN: only ${cpus} core(s); skipping the watchdog-overhead ceiling" \
-       "(same rule: the delta measures time-slicing, not the auditor)" >&2
-  echo "WARN: only ${cpus} core(s); skipping the replication churn floors" \
-       "(follower lanes need their own cores to price the delta stream)" >&2
-fi
-# shellcheck disable=SC2086  # the floor vars are intentionally unquoted
-"$build_dir/service_load" --quick --json="$service_out" \
-    --scrape-out="$scrape_out" --trace-out="$trace_out" \
-    --replicas=1 \
-    --git-sha="$git_sha" --timestamp="$run_stamp" \
-    --min-table-ops=100000 --min-pipeline-speedup=1.0 \
-    $cluster_floor $sharded_floor $trace_ceiling $watchdog_ceiling \
-    $repl_floor > /dev/null
-acquire_ops=$(sed -n 's/.*"acquire_ops_per_sec": \([0-9]*\).*/\1/p' "$service_out")
-sharded_ops=$(sed -n 's/.*"sharded_ops_per_sec": \([0-9]*\).*/\1/p' "$service_out")
-pipeline_ops=$(sed -n 's/.*"pipeline_ops_per_sec": \([0-9]*\).*/\1/p' "$service_out")
-epoll_ops=$(sed -n 's/.*"epoll_ops_per_sec": \([0-9]*\).*/\1/p' "$service_out")
-cluster_x=$(sed -n 's/.*"cluster_speedup": \([0-9.]*\).*/\1/p' "$service_out")
-shed=$(sed -n 's/.*"overload_shed": \([0-9]*\).*/\1/p' "$service_out")
-served=$(sed -n 's/.*"overload_served": \([0-9]*\).*/\1/p' "$service_out")
-scn_served=$(sed -n 's/.*"served": \([0-9]*\), "shed".*/\1/p' "$service_out" | head -1)
-scn_violations=$(sed -n 's/.*"violations": \([0-9]*\),$/\1/p' "$service_out" | head -1)
-failover_ms=$(sed -n 's/.*"failover_ms": \([0-9.]*\).*/\1/p' "$service_out")
-forfeited=$(sed -n 's/.*"tokens_forfeited": \([0-9-]*\),$/\1/p' "$service_out" | head -1)
-echo "wrote $service_out (table: ${acquire_ops} ops/s, sharded: ${sharded_ops:-0} ops/s, pipelined wire: ${pipeline_ops} ops/s, epoll wire: ${epoll_ops:-0} ops/s, 3-node cluster: ${cluster_x}x one node, overload served/shed: ${served:-0}/${shed:-0}, scenario served: ${scn_served:-0}, violations: ${scn_violations:-0}, replicated failover: ${failover_ms:-n/a} ms, forfeited: ${forfeited:-0} tokens)"
-echo "wrote $scrape_out (overload-run Prometheus exposition)"
-echo "wrote $trace_out (scenario-run flight-recorder spans)"
+gate_status=0
+"$build_dir/service_load" --gate --json="$service_out" --git-sha="$git_sha" \
+    || gate_status=$?
 
-# The operator CLI against a live (in-process, kill+promote churned)
-# cluster: the merged kStats sweep and the §3.4 watchdog verdict become a
-# per-commit artifact, and a non-zero exit (sweep failed, watchdog
-# violation, no cross-node trace) fails the job.
 "$build_dir/tokactl" stats > "$tokactl_out"
 echo "wrote $tokactl_out (tokactl merged cluster stats)"
+exit "$gate_status"

@@ -190,7 +190,11 @@ class TcpMesh::Endpoint final : public Transport {
     }
     bool failed = false;
     {
+      // stopping_ is re-read under send_mutex_: shutdown() closes the fds
+      // under the same lock, so a write that gets here first still holds
+      // an open fd, and one that gets here later sees the stop.
       std::lock_guard lock(send_mutex_);
+      if (stopping_.load()) return;
       if (!write_frame(fd, header, payload.data(), payload.size())) {
         drop_connection(to);
         failed = true;
@@ -209,9 +213,18 @@ class TcpMesh::Endpoint final : public Transport {
     ::shutdown(listen_fd_.get(), SHUT_RDWR);
     if (acceptor_.joinable()) acceptor_.join();
     listen_fd_.reset();
+    // Shut the outgoing sockets first, waking any write blocked on one,
+    // then close them under send_mutex_ (lock order send -> conn, as in
+    // drop_connection): a reader's flush_cork or a client's send() may be
+    // writing to one of these fds, and closing it mid-write could hand a
+    // reused fd number that thread's bytes.
     {
       std::lock_guard lock(conn_mutex_);
       for (auto& [peer, fd] : outgoing_) ::shutdown(fd.get(), SHUT_RDWR);
+    }
+    {
+      std::lock_guard send_lock(send_mutex_);
+      std::lock_guard lock(conn_mutex_);
       outgoing_.clear();
     }
     {
@@ -277,6 +290,7 @@ class TcpMesh::Endpoint final : public Transport {
       bool write_failed = fd < 0;
       if (fd >= 0) {
         std::lock_guard lock(send_mutex_);
+        if (stopping_.load()) return;  // fds closed or closing: see send()
         if (!write_exact(fd, bytes.data(), bytes.size())) {
           drop_connection(peer);
           write_failed = true;
@@ -346,9 +360,13 @@ class TcpMesh::Endpoint final : public Transport {
     }
   }
 
-  /// Returns a connected fd to `to`, opening one if needed. -1 on failure.
+  /// Returns a connected fd to `to`, opening one if needed. -1 on failure,
+  /// and always once shutdown() began: a reader's end-of-burst flush must
+  /// not reconnect to a live peer after the connections were closed, or
+  /// that peer would never see this endpoint go away.
   int connection_to(NodeId to) {
     std::lock_guard lock(conn_mutex_);
+    if (stopping_.load()) return -1;
     auto it = outgoing_.find(to);
     if (it != outgoing_.end()) return it->second.get();
     if (to >= mesh_->node_count()) return -1;

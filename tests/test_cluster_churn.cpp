@@ -376,10 +376,15 @@ TEST(ClusterChurn, TcpNodeKillIsAbsorbedByRerouting) {
       },
       both, client_config);
 
-  // Warm both nodes up over real sockets.
+  // Warm both nodes up over real sockets, then let two Δ pass so every
+  // account has banked tokens to grant.
+  for (std::uint64_t key = 0; key < 64; ++key)
+    client.acquire(service::kDefaultNamespace, key, 0);
+  std::this_thread::sleep_for(std::chrono::microseconds(2 * kDelta));
   std::int64_t granted = 0;
   for (std::uint64_t key = 0; key < 64; ++key)
-    granted += client.acquire(service::kDefaultNamespace, key, 0).granted;
+    granted += client.acquire(service::kDefaultNamespace, key, 1).granted;
+  EXPECT_GT(granted, 0);
 
   // Kill node 1's endpoint mid-run (sockets close under the client), push
   // the shrunk map, and keep going: every key must be served by node 0.
@@ -390,16 +395,14 @@ TEST(ClusterChurn, TcpNodeKillIsAbsorbedByRerouting) {
   std::uint64_t errors = 0;
   for (std::uint64_t key = 0; key < 64; ++key) {
     try {
-      client.acquire(service::kDefaultNamespace, key, 0);
+      client.acquire(service::kDefaultNamespace, key, 1);
     } catch (const std::exception&) {
       ++errors;
     }
   }
   EXPECT_EQ(errors, 0u);
   EXPECT_EQ(client.map().epoch, 2u);
-  // Zero-token acquires grant nothing, so the watchdog has no grant to
-  // check; the tests above carry the §3.4 verdict under churn.
-  EXPECT_EQ(nodes[0]->table.stats().watchdog_violations, 0u);
+  EXPECT_TRUE(burst_bound_held(nodes[0]->table));
   for (auto& node : nodes) node->driver.stop();
 }
 
@@ -428,9 +431,15 @@ TEST(ClusterChurn, EpollNodeKillIsAbsorbedByRerouting) {
       },
       all3, client_config);
 
-  // Warm every node over the event loops.
+  // Warm every node over the event loops, then let two Δ pass so every
+  // account has banked tokens to grant.
   for (std::uint64_t key = 0; key < 96; ++key)
     client.acquire(service::kDefaultNamespace, key, 0);
+  std::this_thread::sleep_for(std::chrono::microseconds(2 * kDelta));
+  std::int64_t granted = 0;
+  for (std::uint64_t key = 0; key < 96; ++key)
+    granted += client.acquire(service::kDefaultNamespace, key, 1).granted;
+  EXPECT_GT(granted, 0);
 
   // Kill node 2's endpoint mid-run (its loops close every socket under
   // the client), push the shrunk map, and keep going.
@@ -441,16 +450,15 @@ TEST(ClusterChurn, EpollNodeKillIsAbsorbedByRerouting) {
   std::uint64_t errors = 0;
   for (std::uint64_t key = 0; key < 96; ++key) {
     try {
-      client.acquire(service::kDefaultNamespace, key, 0);
+      client.acquire(service::kDefaultNamespace, key, 1);
     } catch (const std::exception&) {
       ++errors;
     }
   }
   EXPECT_EQ(errors, 0u);
   EXPECT_EQ(client.map().epoch, 2u);
-  for (NodeId n = 0; n < 2; ++n)  // zero-token acquires: see the TCP test
-    EXPECT_EQ(nodes[n]->table.stats().watchdog_violations, 0u)
-        << "node " << n;
+  for (NodeId n = 0; n < 2; ++n)
+    EXPECT_TRUE(burst_bound_held(nodes[n]->table)) << "node " << n;
   for (auto& node : nodes) node->driver.stop();
 }
 
